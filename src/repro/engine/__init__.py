@@ -18,10 +18,10 @@ statistics) is picklable, and results are reassembled in plan order, so
 parallel sweeps are bit-identical to serial ones.
 """
 
+from ..store import CacheStats
 from .cache import (
     DEFAULT_CACHE_DIR,
     NULL_TRACE_CACHE,
-    CacheStats,
     TraceCache,
     open_cache,
     trace_key,

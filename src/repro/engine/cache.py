@@ -13,9 +13,9 @@ model replays.  The key is a SHA-256 over
 * the package version plus a cache format tag,
 
 so a hit is only possible when the compilation would be bit-identical.
-Entries are pickles written atomically (temp file + ``os.replace``), so
-concurrent engine workers and concurrent runs can share one directory;
-a corrupt or unreadable entry is treated as a miss and replaced.
+Storage, atomic writes, corrupt-entry recovery and the debris janitor
+are :class:`repro.store.ContentStore`'s; this namespace adds only the
+key and the read validator.
 
 The default location is ``.repro-cache`` under the current directory,
 overridable with the ``REPRO_CACHE_DIR`` environment variable or the
@@ -27,16 +27,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
-import tempfile
-import time
-from dataclasses import dataclass
 
 from .. import __version__
 from ..errors import TraceError
 from ..opt.options import CompilerOptions
 from ..sim.interp import RunResult
 from ..sim.trace import Trace
+from ..store import ContentStore
 
 #: Bump when the pickled payload layout changes incompatibly.
 #: v2: run-length encoded traces with a flat memory-address side array
@@ -45,57 +42,6 @@ _FORMAT = "trace-v2"
 
 #: Default cache directory (relative to the working directory).
 DEFAULT_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
-
-#: A ``*.tmp`` file this much older than "now" is crash debris: no
-#: healthy writer holds a temp file for an hour.
-DEBRIS_MAX_AGE = 3600.0
-
-#: Roots already swept this process — stores are cheap handles opened
-#: per group/worker task, so each directory tree is walked only once.
-_SWEPT_ROOTS: set[str] = set()
-
-
-def reset_debris_sweeps() -> None:
-    """Forget which roots were swept (tests re-plant debris)."""
-    _SWEPT_ROOTS.clear()
-
-
-def sweep_debris(root: str, max_age: float = DEBRIS_MAX_AGE, *,
-                 prune: tuple[str, ...] = (), now: float | None = None,
-                 ) -> int:
-    """Remove orphaned ``*.tmp`` files under ``root``; return the count.
-
-    Atomic-write temp files are normally renamed or unlinked within the
-    writing call; one that survives past ``max_age`` was left by a
-    killed writer.  Young temp files are left alone — they may belong
-    to a live concurrent writer.  ``prune`` names child directories to
-    skip (the memo store sweeps its own subtree).  Each root is swept
-    at most once per process.
-    """
-    if not root:
-        return 0
-    key = os.path.abspath(root)
-    if key in _SWEPT_ROOTS:
-        return 0
-    _SWEPT_ROOTS.add(key)
-    if not os.path.isdir(key):
-        return 0
-    cutoff = (time.time() if now is None else now) - max_age
-    removed = 0
-    for dirpath, dirnames, filenames in os.walk(key):
-        if dirpath == key and prune:
-            dirnames[:] = [d for d in dirnames if d not in prune]
-        for name in filenames:
-            if not name.endswith(".tmp"):
-                continue
-            path = os.path.join(dirpath, name)
-            try:
-                if os.path.getmtime(path) <= cutoff:
-                    os.remove(path)
-                    removed += 1
-            except OSError:
-                continue
-    return removed
 
 
 def trace_key(source: str, options: CompilerOptions) -> str:
@@ -112,135 +58,35 @@ def trace_key(source: str, options: CompilerOptions) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass(slots=True)
-class CacheStats:
-    """Hit/miss/corrupt-drop/store counts for one cache handle.
-
-    ``misses`` counts clean not-found lookups only; an entry dropped for
-    being unreadable or structurally invalid counts under ``corrupt``
-    instead, so the conservation law ``gets == hits + misses + corrupt``
-    holds exactly (and the report-schema validator enforces it).
-    """
-
-    hits: int = 0
-    misses: int = 0
-    corrupt: int = 0
-    stores: int = 0
-    #: Orphaned temp files removed by the startup janitor — outside
-    #: the ``gets == hits + misses + corrupt`` conservation law.
-    debris: int = 0
-
-    @property
-    def gets(self) -> int:
-        """Total lookups: every ``load()`` ends as exactly one of
-        hit / miss / corrupt-drop."""
-        return self.hits + self.misses + self.corrupt
-
-    def as_dict(self) -> dict:
-        return {"gets": self.gets, "hits": self.hits,
-                "misses": self.misses, "corrupt": self.corrupt,
-                "stores": self.stores, "debris": self.debris}
+def _is_valid_run(result: object) -> bool:
+    """A payload that unpickles but is not structurally a valid run (the
+    wrong type, or a trace whose v2 invariants do not hold — e.g. an
+    entry written by a different layout) is never handed to the timing
+    model."""
+    if not (isinstance(result, RunResult)
+            and isinstance(result.trace, Trace)):
+        return False
+    try:
+        result.trace.validate()
+    except TraceError:
+        return False
+    return True
 
 
-class TraceCache:
-    """A content-addressed trace cache rooted at one directory."""
-
-    enabled = True
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-        self.stats = CacheStats()
-        # Startup janitor: clear crash debris left by killed writers.
-        # The memo store (and the flow state store) sweep their own
-        # subtrees, so prune them here to keep the counts disjoint.
-        self.stats.debris = sweep_debris(root, prune=("memo", "flow"))
-
-    def path_for(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], key + ".pkl")
+class TraceCache(ContentStore):
+    """The compiled-trace namespace: one run per compilation key."""
 
     def load(self, key: str) -> RunResult | None:
-        """The cached run for ``key``, or ``None`` (counted as a miss)."""
-        path = self.path_for(key)
-        try:
-            with open(path, "rb") as handle:
-                result = pickle.load(handle)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, TypeError, ValueError, KeyError):
-            # Corrupt or stale entry: drop it and recompile.
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            self.stats.corrupt += 1
-            return None
-        # A payload that unpickles but is not structurally a valid run
-        # (wrong type, or a trace whose v2 invariants do not hold —
-        # e.g. an entry written by a different layout that happens to
-        # unpickle) is dropped the same way, never handed to the
-        # timing model.
-        ok = (
-            isinstance(result, RunResult)
-            and isinstance(result.trace, Trace)
-        )
-        if ok:
-            try:
-                result.trace.validate()
-            except TraceError:
-                ok = False
-        if not ok:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            self.stats.corrupt += 1
-            return None
-        self.stats.hits += 1
-        return result
+        """The cached run for ``key``, or ``None``."""
+        return self._get(key, _is_valid_run)
 
     def store(self, key: str, result: RunResult) -> None:
         """Write one entry atomically (safe under concurrent writers)."""
-        path = self.path_for(key)
-        parent = os.path.dirname(path)
-        os.makedirs(parent, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                # Flush to stable storage before the rename becomes
-                # visible: a crash mid-write must never leave a torn
-                # entry behind the final name.
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.remove(tmp_path)
-            except OSError:
-                pass
-            raise
-        self.stats.stores += 1
-
-
-class NullTraceCache(TraceCache):
-    """Disabled cache: every lookup misses, nothing is written."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(root="")
-
-    def load(self, key: str) -> RunResult | None:
-        return None
-
-    def store(self, key: str, result: RunResult) -> None:
-        pass
+        self._put(key, result)
 
 
 #: Shared disabled cache; safe to pass anywhere a cache is expected.
-NULL_TRACE_CACHE = NullTraceCache()
+NULL_TRACE_CACHE = TraceCache(None)
 
 
 def open_cache(
@@ -251,6 +97,4 @@ def open_cache(
     ``no_cache=True`` (or ``cache_dir=None``) yields a fresh disabled
     cache; otherwise the directory is created lazily on first store.
     """
-    if no_cache or cache_dir is None:
-        return NullTraceCache()
-    return TraceCache(cache_dir)
+    return TraceCache(None if no_cache else cache_dir)

@@ -246,45 +246,36 @@ def _run_group(
     with tracer.span("group.run", cat="engine", benchmark=benchmark,
                      cells=len(machine_cells), attempt=attempt):
         start = time.perf_counter()
-        if cache.enabled and cache.stats.debris:
-            # Surface (once) what the startup janitor removed.
-            metrics.incr("cache.debris", cache.stats.debris)
-            cache.stats.debris = 0
         # In-process memo first (free), then the on-disk cache, then
         # compile.
         result = suite.cached_run(bench, options)
-        if result is None and cache.enabled:
-            corrupt_before = cache.stats.corrupt
-            with tracer.span("cache.get", cat="cache",
-                             benchmark=benchmark):
-                result = cache.load(trace_key(bench.source(), options))
-            metrics.incr("cache.gets")
-            if result is not None:
-                metrics.incr("cache.hits")
-                # Share the cached run with in-process callers
-                # (exhibits, etc.).
-                suite.seed_run(bench, options, result)
-            elif cache.stats.corrupt > corrupt_before:
-                metrics.incr("cache.corrupt")
-            else:
-                metrics.incr("cache.misses")
-        cached = result is not None
-        if result is None:
-            with tracer.span("compile.run", cat="compile",
-                             benchmark=benchmark):
-                result = suite.run_benchmark(
-                    bench, options,
-                    max_instructions=limits.max_instructions,
-                )
-            if cache.enabled:
-                key = trace_key(bench.source(), options)
-                with tracer.span("cache.put", cat="cache",
+        try:
+            if result is None and cache.enabled:
+                with tracer.span("cache.get", cat="cache",
                                  benchmark=benchmark):
-                    cache.store(key, result)
-                metrics.incr("cache.stores")
-                if faults:
-                    faults.maybe_corrupt_cache(cache, key, benchmark,
-                                               attempt)
+                    result = cache.load(trace_key(bench.source(), options))
+                if result is not None:
+                    # Share the cached run with in-process callers
+                    # (exhibits, etc.).
+                    suite.seed_run(bench, options, result)
+            cached = result is not None
+            if result is None:
+                with tracer.span("compile.run", cat="compile",
+                                 benchmark=benchmark):
+                    result = suite.run_benchmark(
+                        bench, options,
+                        max_instructions=limits.max_instructions,
+                    )
+                if cache.enabled:
+                    key = trace_key(bench.source(), options)
+                    with tracer.span("cache.put", cat="cache",
+                                     benchmark=benchmark):
+                        cache.store(key, result)
+                    if faults:
+                        faults.maybe_corrupt_cache(cache, key, benchmark,
+                                                   attempt)
+        finally:
+            cache.stats.record_to(metrics, "cache.")
         limits.check_rss()
         compile_seconds = time.perf_counter() - start
         if not cached:
@@ -331,7 +322,7 @@ def _run_group(
             if faults:
                 cell = faults.maybe_corrupt_cell(cell, attempt)
             out.append((index, cell))
-        memo.stats.record_to(metrics)
+        memo.stats.record_to(metrics, "cache.memo_")
     return out, cached
 
 

@@ -31,15 +31,16 @@ Kinds:
   backstop);
 * ``corrupt-result`` — the worker returns a structurally invalid
   :class:`~repro.engine.executor.CellResult` payload;
-* ``corrupt-cache``  — the cache entry the group just wrote is
-  truncated in place (a simulated partial write);
+* ``corrupt-cache``  — the trace-cache entry the group just wrote is
+  truncated in place (a simulated partial write, see
+  :func:`truncate_entry`);
 * ``error``          — a deterministic in-cell exception, classified as
   non-transient by the retry policy (fails fast, no retries);
 * ``kill``           — the *parent* process dies via ``SIGKILL`` at a
   workflow-node boundary (:mod:`repro.flow` fires it after journaling
   the matching node; the benchmark slot names a node or its 1-based
   completion ordinal);
-* ``torn-write``     — a workflow checkpoint file is truncated mid-write
+* ``torn-write``     — a workflow checkpoint is truncated the same way
   (same site grammar as ``kill``); the flow state store's structural
   validation must drop the entry and recompute on resume.
 
@@ -298,37 +299,35 @@ class FaultPlan:
             return
         os.kill(os.getpid(), signal.SIGKILL)
 
-    def maybe_tear_checkpoint(self, path: str, node: str,
+    def maybe_tear_checkpoint(self, store, key: str, node: str,
                               ordinal: int) -> bool:
-        """Truncate the checkpoint file at ``path`` (a simulated torn
-        write) when a ``torn-write`` spec matches this node boundary;
-        returns True when the file was torn."""
-        if not self._node_matches("torn-write", node, ordinal):
-            return False
-        try:
-            size = os.path.getsize(path)
-            with open(path, "r+b") as handle:
-                handle.truncate(max(1, size // 2))
-        except OSError:
-            return False
-        return True
+        """Tear the checkpoint for ``key`` when a ``torn-write`` spec
+        matches this node boundary; returns True when it was torn."""
+        return (self._node_matches("torn-write", node, ordinal)
+                and truncate_entry(store, key))
 
     def maybe_corrupt_cache(self, cache, key: str, benchmark: str,
                             attempt: int) -> None:
-        """Truncate the cache entry for ``key`` (a simulated partial
-        write); the cache's structural validation must treat the entry
-        as a miss on the next load."""
-        if not getattr(cache, "enabled", False):
-            return
-        if not self.should_fire("corrupt-cache", benchmark, "*", attempt):
-            return
-        path = cache.path_for(key)
-        try:
-            size = os.path.getsize(path)
-            with open(path, "r+b") as handle:
-                handle.truncate(max(1, size // 2))
-        except OSError:
-            pass
+        """Tear the cache entry for ``key`` when a ``corrupt-cache`` spec
+        fires for this group attempt."""
+        if self.should_fire("corrupt-cache", benchmark, "*", attempt):
+            truncate_entry(cache, key)
+
+
+def truncate_entry(store, key: str) -> bool:
+    """Cut a store's entry for ``key`` to half its size, as a partial
+    write would; returns True when an entry was cut.  The store's read
+    validation must then drop it as corrupt."""
+    if not store.enabled:
+        return False
+    try:
+        path = store.path_for(key)
+        size = os.path.getsize(path)
+        with open(path, "r+b") as handle:
+            handle.truncate(max(1, size // 2))
+    except OSError:
+        return False
+    return True
 
 
 #: Shared empty plan; safe to pass anywhere a plan is expected.

@@ -246,10 +246,10 @@ def _run_nodes(dag, runners, order, sigs, store, journal, result, *,
         """Checkpoint -> journal -> (maybe) kill, in that order."""
         nonlocal ordinal
         node = dag.nodes[name]
-        path = store.store(sigs[name], name, node.kind, value)
+        store.store(sigs[name], name, node.kind, value)
         ordinal += 1
         if faults:
-            faults.maybe_tear_checkpoint(path, name, ordinal)
+            faults.maybe_tear_checkpoint(store, sigs[name], name, ordinal)
         record(name, "executed")
         result.values[name] = value
         result.statuses[name] = "executed"

@@ -4,13 +4,12 @@ Two durable artifacts make a flow run crash-resumable:
 
 * the **state store** — one pickle per completed node, addressed by the
   node's content signature (:meth:`repro.flow.dag.FlowDag.signatures`),
-  living under ``<cache-root>/flow/state``.  Writes are atomic
-  (mkstemp + fsync + ``os.replace``, the trace-cache idiom), so a
-  SIGKILL mid-write can only ever leave a temp file, never a torn
-  entry behind the final name.  A stale or structurally invalid entry
-  — unreadable pickle, wrong format tag, truncated by a torn write —
-  is dropped and the node recomputes, exactly mirroring the
-  trace-cache recovery path.
+  living under ``<cache-root>/flow/state``.  It is a
+  :class:`repro.store.ContentStore` namespace, so a SIGKILL mid-write
+  can only ever leave a temp file, never a torn entry behind the final
+  name, and a stale or structurally invalid entry — unreadable pickle,
+  wrong format tag, truncated by a torn write — is dropped and the
+  node recomputes.
 * the **run journal** — an append-only JSONL file per run id under
   ``<cache-root>/flow/runs``, fsynced line by line.  It records the
   flow's rebuildable spec (``flow_start``), one ``node_done`` per
@@ -29,12 +28,10 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import secrets
-import tempfile
 import time
 
-from ..engine.cache import CacheStats, sweep_debris
+from ..store import ContentStore
 from .dag import FlowError
 
 #: Bump when the checkpoint payload layout changes incompatibly.
@@ -82,85 +79,29 @@ def list_runs(root: str) -> list[str]:
     return [n[:-len(".jsonl")] for n in names if n.endswith(".jsonl")]
 
 
-class FlowStateStore:
+def _is_checkpoint(payload: object) -> bool:
+    return (isinstance(payload, dict)
+            and payload.get("format") == STATE_FORMAT
+            and "value" in payload)
+
+
+class FlowStateStore(ContentStore):
     """Content-addressed node checkpoints rooted at one directory."""
 
-    def __init__(self, root: str) -> None:
-        self.root = root
-        self.stats = CacheStats()
-        self.stats.debris = sweep_debris(root)
-
-    def path_for(self, signature: str) -> str:
-        return os.path.join(self.root, signature[:2], signature + ".pkl")
-
     def load(self, signature: str) -> dict | None:
-        """The checkpoint payload for ``signature``, or ``None``.
+        """The checkpoint for ``signature``, or ``None``.
 
         Returns the full wrapper dict (``{"format", "node", "kind",
         "value"}``) so the caller can apply its own value-level
-        validation; anything unreadable or structurally wrong is
-        dropped on the spot and counted as corrupt.
+        validation (and :meth:`reject` a failure).
         """
-        path = self.path_for(signature)
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, TypeError, ValueError, KeyError):
-            self.drop(signature)
-            self.stats.corrupt += 1
-            return None
-        if not isinstance(payload, dict) \
-                or payload.get("format") != STATE_FORMAT \
-                or "value" not in payload:
-            self.drop(signature)
-            self.stats.corrupt += 1
-            return None
-        self.stats.hits += 1
-        return payload
-
-    def drop(self, signature: str) -> None:
-        """Remove one checkpoint, ignoring races; reclassify later."""
-        try:
-            os.remove(self.path_for(signature))
-        except OSError:
-            pass
-
-    def reject(self, signature: str) -> None:
-        """A loaded checkpoint failed value-level validation: drop it
-        and move the hit to the corrupt column."""
-        self.drop(signature)
-        self.stats.hits -= 1
-        self.stats.corrupt += 1
+        return self._get(signature, _is_checkpoint)
 
     def store(self, signature: str, node: str, kind: str,
-              value: object) -> str:
-        """Write one checkpoint atomically; returns its final path."""
-        path = self.path_for(signature)
-        parent = os.path.dirname(path)
-        os.makedirs(parent, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(
-                    {"format": STATE_FORMAT, "node": node, "kind": kind,
-                     "value": value},
-                    handle, protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.remove(tmp_path)
-            except OSError:
-                pass
-            raise
-        self.stats.stores += 1
-        return path
+              value: object) -> None:
+        """Write one checkpoint atomically."""
+        self._put(signature, {"format": STATE_FORMAT, "node": node,
+                              "kind": kind, "value": value})
 
 
 class Journal:

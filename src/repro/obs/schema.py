@@ -37,9 +37,9 @@ Checks, per report file (:func:`check_file`):
   span/parent IDs;
 * ``metrics`` events carry numeric counters/gauges and histograms
   obeying bucket conservation, plus the cache conservation law
-  ``cache.gets == cache.hits + cache.misses + cache.corrupt`` (and the
-  same law for the persistent replay-memo store's ``cache.memo_*``
-  family);
+  ``cache.gets == cache.hits + cache.misses + cache.corrupt`` for every
+  store family with a ``cache.*gets`` counter (``cache.``,
+  ``cache.memo_``, ...);
 * ``resource`` events (per-track RSS/CPU telemetry from the sampling
   thread, see :mod:`repro.obs.resource`) carry a track name and
   non-negative gauges.
@@ -370,12 +370,12 @@ def check_metrics(record: dict) -> list[str]:
             errors.extend(check_histogram(name, hist))
     counters = record.get("counters")
     if isinstance(counters, dict):
-        # Cache conservation: every lookup ends as exactly one of
-        # hit / miss / corrupt-drop.  The persistent replay-memo store
-        # (cache.memo_*) obeys the same law as the trace cache.
-        for family in ("cache.", "cache.memo_"):
-            if f"{family}gets" not in counters:
-                continue
+        # Cache conservation: every lookup of every store namespace
+        # (cache.*, cache.memo_*, ...) ends as exactly one of
+        # hit / miss / corrupt-drop.
+        families = [name[:-len("gets")] for name in counters
+                    if name.startswith("cache.") and name.endswith("gets")]
+        for family in families:
             parts = (counters.get(f"{family}hits", 0)
                      + counters.get(f"{family}misses", 0)
                      + counters.get(f"{family}corrupt", 0))

@@ -10,10 +10,9 @@ with the longest critical path to the end of the block.
 
 This is the default scheduler backend (see :mod:`repro.sched.registry`);
 its output is pinned bit-identical against golden schedules in
-``tests/golden/schedules.json``.  The historical module-level entry
-points (:func:`schedule_function` / :func:`schedule_block`) remain the
-implementation and keep working via the :mod:`repro.sched.list_scheduler`
-shim.
+``tests/golden/schedules.json``.  The module-level entry points
+(:func:`schedule_function` / :func:`schedule_block`) are the
+implementation.
 """
 
 from __future__ import annotations

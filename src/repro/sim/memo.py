@@ -21,21 +21,17 @@ payloads).
 
 Hygiene
 -------
-Entries live under ``<cache-root>/memo/<key[:2]>/<key>.pkl``, written
-atomically (temp file + fsync + ``os.replace``) so concurrent workers
-can share a directory.  Each payload carries its own format tag; a
-stale or corrupt entry — unreadable pickle, wrong tag/backend/mode, or
-a structure the core's :meth:`~repro.sim.replay.ReplayCore.adopt_memo`
-validation rejects — is *dropped* and the replay starts cold, exactly
-mirroring the trace-cache recovery path.  Value-level corruption that
-a structural walk cannot see is caught by the vectorized kernel's
-per-run verification, which can only ever cost a scalar re-resolve,
-never a wrong result.
-
-Counters flow to :mod:`repro.obs.metrics` under ``cache.memo_*`` with
-the same conservation law as the trace cache
-(``gets == hits + misses + corrupt``), enforced by the report-schema
-validator.
+Entries live under ``<cache-root>/memo/`` in a
+:class:`repro.store.ContentStore` — atomic writes, corrupt-entry
+recovery, the debris janitor and the ``gets == hits + misses +
+corrupt`` counters (``cache.memo_*`` metrics) are the shared store's.
+Each payload carries its own format tag; a stale or corrupt entry —
+unreadable pickle, wrong tag, or a structure the core's
+:meth:`~repro.sim.replay.ReplayCore.adopt_memo` validation rejects — is
+*dropped* and the replay starts cold.  Value-level corruption that a
+structural walk cannot see is caught by the vectorized kernel's per-run
+verification, which can only ever cost a scalar re-resolve, never a
+wrong result.
 """
 
 from __future__ import annotations
@@ -43,56 +39,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
-import tempfile
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from .. import __version__
 from ..machine.config import MachineConfig
+from ..store import ContentStore
 from .replay import BACKEND, MEMO_PAYLOAD_FORMAT, ReplayCore, ReplayOutcome
 from .trace import Trace
-
-
-@dataclass(slots=True)
-class MemoStats:
-    """Hit/miss/corrupt-drop/store counts for one memo-store handle.
-
-    Same conservation law as the trace cache: every ``load()`` (plus
-    every adopted-then-rejected payload, which moves from ``hits`` to
-    ``corrupt``) ends as exactly one of hit / miss / corrupt-drop, so
-    ``gets == hits + misses + corrupt`` holds exactly.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    corrupt: int = 0
-    stores: int = 0
-    #: Orphaned temp files removed by the startup janitor — outside
-    #: the ``gets == hits + misses + corrupt`` conservation law.
-    debris: int = 0
-
-    @property
-    def gets(self) -> int:
-        return self.hits + self.misses + self.corrupt
-
-    def as_dict(self) -> dict:
-        return {"gets": self.gets, "hits": self.hits,
-                "misses": self.misses, "corrupt": self.corrupt,
-                "stores": self.stores, "debris": self.debris}
-
-    def record_to(self, metrics) -> None:
-        """Fold into a metrics registry under ``cache.memo_*``."""
-        if not metrics.enabled:
-            return
-        metrics.incr("cache.memo_gets", self.gets)
-        metrics.incr("cache.memo_hits", self.hits)
-        metrics.incr("cache.memo_misses", self.misses)
-        metrics.incr("cache.memo_corrupt", self.corrupt)
-        metrics.incr("cache.memo_stores", self.stores)
-        if self.debris:
-            metrics.incr("cache.memo_debris", self.debris)
-            self.debris = 0
 
 
 def memo_key(trace: Trace, config: MachineConfig, *,
@@ -113,102 +66,25 @@ def memo_key(trace: Trace, config: MachineConfig, *,
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class MemoStore:
-    """A persistent replay-memo store rooted at one directory."""
+def _is_memo_payload(payload: object) -> bool:
+    return (isinstance(payload, dict)
+            and payload.get("format") == MEMO_PAYLOAD_FORMAT)
 
-    enabled = True
 
-    def __init__(self, root: str) -> None:
-        self.root = root
-        self.stats = MemoStats()
-        if root:
-            # Startup janitor: clear crash debris left by killed
-            # writers (once per process per root; the import is
-            # deferred because engine.cache imports this package).
-            from ..engine.cache import sweep_debris
-            self.stats.debris = sweep_debris(root)
-
-    def path_for(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], key + ".pkl")
+class MemoStore(ContentStore):
+    """The replay-memo namespace: one exported memo payload per key."""
 
     def load(self, key: str) -> dict | None:
-        """The persisted payload for ``key``, or ``None`` (a miss)."""
-        path = self.path_for(key)
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, TypeError, ValueError, KeyError):
-            self.drop(path)
-            self.stats.corrupt += 1
-            return None
-        if not isinstance(payload, dict) \
-                or payload.get("format") != MEMO_PAYLOAD_FORMAT:
-            self.drop(path)
-            self.stats.corrupt += 1
-            return None
-        self.stats.hits += 1
-        return payload
-
-    def drop(self, path: str) -> None:
-        """Remove one entry file, ignoring races."""
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-
-    def reject(self, key: str) -> None:
-        """A loaded payload failed deep validation: reclassify the hit
-        as a corrupt drop and remove the entry."""
-        self.drop(self.path_for(key))
-        self.stats.hits -= 1
-        self.stats.corrupt += 1
+        """The persisted payload for ``key``, or ``None``."""
+        return self._get(key, _is_memo_payload)
 
     def store(self, key: str, payload: dict) -> None:
         """Write one entry atomically (safe under concurrent writers)."""
-        path = self.path_for(key)
-        parent = os.path.dirname(path)
-        os.makedirs(parent, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(payload, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.remove(tmp_path)
-            except OSError:
-                pass
-            raise
-        self.stats.stores += 1
-
-
-class NullMemoStore(MemoStore):
-    """Disabled store: every lookup misses, nothing is written."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(root="")
-
-    def load(self, key: str) -> dict | None:
-        return None
-
-    def reject(self, key: str) -> None:
-        pass
-
-    def store(self, key: str, payload: dict) -> None:
-        pass
+        self._put(key, payload)
 
 
 #: Shared disabled store; safe to pass anywhere a store is expected.
-NULL_MEMO_STORE = NullMemoStore()
+NULL_MEMO_STORE = MemoStore(None)
 
 
 def open_memo_store(cache) -> MemoStore:

@@ -10,7 +10,7 @@ from repro.isa import BasicBlock, Opcode, build
 from repro.isa.registers import virtual
 from repro.machine import base_machine, cray1, ideal_superscalar
 from repro.opt.options import CompilerOptions
-from repro.sched.list_scheduler import schedule_block
+from repro.sched.listsched import schedule_block
 from repro.sim.timing import simulate
 from repro.sim.trace import Trace
 

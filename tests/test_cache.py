@@ -232,7 +232,8 @@ class TestDebrisJanitor:
     def test_trace_cache_sweeps_old_tmp_files(self, tmp_path):
         import os
 
-        from repro.engine.cache import TraceCache, reset_debris_sweeps
+        from repro.engine.cache import TraceCache
+        from repro.store import reset_debris_sweeps
 
         reset_debris_sweeps()
         old = self._plant(tmp_path, "ab/dead.pkl.tmp", 7200)
@@ -246,7 +247,8 @@ class TestDebrisJanitor:
         assert os.path.exists(keep)
 
     def test_sweep_runs_once_per_process_per_root(self, tmp_path):
-        from repro.engine.cache import TraceCache, reset_debris_sweeps
+        from repro.engine.cache import TraceCache
+        from repro.store import reset_debris_sweeps
 
         reset_debris_sweeps()
         self._plant(tmp_path, "ab/dead.pkl.tmp", 7200)
@@ -258,7 +260,8 @@ class TestDebrisJanitor:
     def test_trace_cache_prunes_memo_and_flow_subtrees(self, tmp_path):
         import os
 
-        from repro.engine.cache import TraceCache, reset_debris_sweeps
+        from repro.engine.cache import TraceCache
+        from repro.store import reset_debris_sweeps
 
         reset_debris_sweeps()
         memo_tmp = self._plant(tmp_path, "memo/ab/dead.pkl.tmp", 7200)
@@ -272,7 +275,7 @@ class TestDebrisJanitor:
     def test_memo_store_sweeps_its_own_debris(self, tmp_path):
         import os
 
-        from repro.engine.cache import reset_debris_sweeps
+        from repro.store import reset_debris_sweeps
         from repro.sim.memo import MemoStore
 
         reset_debris_sweeps()
@@ -285,13 +288,13 @@ class TestDebrisJanitor:
     def test_debris_counts_flow_into_metrics(self, tmp_path):
         from repro.obs.metrics import MetricsRegistry
         from repro.sim.memo import MemoStore
-        from repro.engine.cache import reset_debris_sweeps
+        from repro.store import reset_debris_sweeps
 
         reset_debris_sweeps()
         self._plant(tmp_path / "memo", "ab/dead.pkl.tmp", 7200)
         store = MemoStore(str(tmp_path / "memo"))
         metrics = MetricsRegistry()
-        store.stats.record_to(metrics)
+        store.stats.record_to(metrics, "cache.memo_")
         assert metrics.counters.get("cache.memo_debris") == 1
         # Conservation law is unaffected by janitor work.
         assert store.stats.gets == (store.stats.hits

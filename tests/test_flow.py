@@ -104,46 +104,6 @@ class TestFlowDag:
 
 
 # ---------------------------------------------------------------------------
-# The state store
-# ---------------------------------------------------------------------------
-
-
-class TestFlowStateStore:
-    def test_roundtrip(self, tmp_path):
-        store = FlowStateStore(str(tmp_path))
-        sig = "ab" * 32
-        store.store(sig, "n", "t", {"x": 1})
-        entry = store.load(sig)
-        assert entry is not None
-        assert entry["value"] == {"x": 1}
-        assert entry["node"] == "n"
-
-    def test_missing_is_none(self, tmp_path):
-        store = FlowStateStore(str(tmp_path))
-        assert store.load("cd" * 32) is None
-
-    def test_torn_checkpoint_dropped(self, tmp_path):
-        store = FlowStateStore(str(tmp_path))
-        sig = "ef" * 32
-        path = store.store(sig, "n", "t", list(range(1000)))
-        size = os.path.getsize(path)
-        with open(path, "r+b") as handle:
-            handle.truncate(size // 2)
-        assert store.load(sig) is None
-        assert store.stats.corrupt == 1
-        # ...and the corrupt file is gone, so the next store is clean.
-        store.store(sig, "n", "t", [1])
-        assert store.load(sig)["value"] == [1]
-
-    def test_reject_removes_entry(self, tmp_path):
-        store = FlowStateStore(str(tmp_path))
-        sig = "0f" * 32
-        store.store(sig, "n", "t", 1)
-        store.reject(sig)
-        assert store.load(sig) is None
-
-
-# ---------------------------------------------------------------------------
 # The engine, on synthetic DAGs
 # ---------------------------------------------------------------------------
 

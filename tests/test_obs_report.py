@@ -324,6 +324,21 @@ class TestValidatorRejections:
         ])
         assert any("cache" in e for e in validator.check_file(path))
 
+    def test_rejects_broken_memo_store_family(self, validator, tmp_path):
+        # The trace-cache family balances; only cache.memo_* is broken.
+        counters = {"cache.gets": 2, "cache.hits": 2,
+                    "cache.memo_gets": 4, "cache.memo_hits": 1,
+                    "cache.memo_misses": 2}
+        path = self.write(tmp_path, [
+            self.ok_start(),
+            json.dumps({"event": "metrics", "counters": counters,
+                        "gauges": {}, "histograms": {}}),
+            self.ok_end(),
+        ])
+        errors = validator.check_file(path)
+        assert len(errors) == 1
+        assert "cache.memo_*" in errors[0]
+
     def test_accepts_valid_span_and_metrics(self, validator, tmp_path):
         hist = {"bounds": [1, 10], "counts": [2, 1, 1], "count": 4,
                 "sum": 20.0}

@@ -10,7 +10,7 @@ from repro.isa import BasicBlock, Opcode, build
 from repro.isa.registers import Reg, virtual
 from repro.machine import MachineConfig, base_machine, ideal_superscalar
 from repro.opt.options import CompilerOptions, OptLevel
-from repro.sched.list_scheduler import schedule_block
+from repro.sched.listsched import schedule_block
 from repro.sim.timing import simulate
 from repro.sim.trace import Trace
 from repro.analysis.stats import harmonic_mean

@@ -9,7 +9,7 @@ from repro.machine import MachineConfig, base_machine, ideal_superscalar
 from repro.opt.alias import bind_array_parameters, may_conflict
 from repro.opt.options import AliasLevel, CompilerOptions, OptLevel
 from repro.sched.dag import build_dag
-from repro.sched.list_scheduler import schedule_block
+from repro.sched.listsched import schedule_block
 from repro.sim.timing import simulate
 from repro.sim.trace import Trace
 from tests.helpers import run_tin

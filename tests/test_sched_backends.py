@@ -142,17 +142,6 @@ class TestRegistry:
     def test_api_schedulers_lists_registry(self):
         assert api.schedulers() == registry.descriptions()
 
-    def test_deprecated_shim_still_works(self):
-        import importlib
-
-        import repro.sched.list_scheduler as shim
-
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            importlib.reload(shim)
-        from repro.sched import listsched
-
-        assert shim.schedule_block is listsched.schedule_block
-
 
 class TestGoldenBitIdentity:
     """The re-homed ``"list"`` backend must reproduce the pre-refactor
