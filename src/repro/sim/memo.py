@@ -19,19 +19,26 @@ aliasing key differently), the trace's timing-semantics fingerprint
 mode (``observe``/``want_times`` — memo entries store mode-dependent
 payloads).
 
+Under the NumPy backend the namespace also holds one entry per trace
+(:func:`plan_key`): the replay plan's structure-of-arrays view
+(:func:`repro.sim.replay_vec.plan_vec_payload`), so a fresh process
+loads it instead of rebuilding it for every trace.  It is written only
+when the lookup missed.
+
 Hygiene
 -------
 Entries live under ``<cache-root>/memo/`` in a
 :class:`repro.store.ContentStore` — atomic writes, corrupt-entry
 recovery, the debris janitor and the ``gets == hits + misses +
 corrupt`` counters (``cache.memo_*`` metrics) are the shared store's.
-Each payload carries its own format tag; a stale or corrupt entry —
-unreadable pickle, wrong tag, or a structure the core's
-:meth:`~repro.sim.replay.ReplayCore.adopt_memo` validation rejects — is
-*dropped* and the replay starts cold.  Value-level corruption that a
-structural walk cannot see is caught by the vectorized kernel's per-run
-verification, which can only ever cost a scalar re-resolve, never a
-wrong result.
+Each entry is the pickled payload plus its SHA-256 digest, checked on
+every read: a torn or bit-flipped file can never hand a wrong memo
+value to the replay.  A stale or corrupt entry — unreadable pickle,
+wrong tag, digest mismatch, or a structure the core's
+:meth:`~repro.sim.replay.ReplayCore.adopt_memo` (or the plan loader's)
+validation rejects — is *dropped* and the replay starts cold.  Recorded
+keys are checked again by the vectorized kernel's per-run verification,
+whose failure costs a scalar re-resolve.
 """
 
 from __future__ import annotations
@@ -39,48 +46,73 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
 from collections import OrderedDict
 
 from .. import __version__
 from ..machine.config import MachineConfig
-from ..store import ContentStore
-from .replay import BACKEND, MEMO_PAYLOAD_FORMAT, ReplayCore, ReplayOutcome
+from ..store import _UNREADABLE, ContentStore
+from .replay import (
+    BACKEND,
+    MEMO_PAYLOAD_FORMAT,
+    ReplayCore,
+    ReplayOutcome,
+    _replay_vec,
+)
 from .trace import Trace
+
+
+def _key(*parts) -> str:
+    payload = json.dumps([MEMO_PAYLOAD_FORMAT, __version__, *parts],
+                         separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def memo_key(trace: Trace, config: MachineConfig, *,
              observe: bool = False, want_times: bool = False) -> str:
     """Content hash identifying one (trace, machine, mode) replay."""
-    payload = json.dumps(
-        [
-            MEMO_PAYLOAD_FORMAT,
-            __version__,
-            BACKEND,
-            trace.fingerprint(),
-            repr(config.fingerprint()),
-            bool(observe),
-            bool(want_times),
-        ],
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _key(BACKEND, trace.fingerprint(), repr(config.fingerprint()),
+                bool(observe), bool(want_times))
 
 
-def _is_memo_payload(payload: object) -> bool:
-    return (isinstance(payload, dict)
-            and payload.get("format") == MEMO_PAYLOAD_FORMAT)
+def plan_key(trace: Trace) -> str:
+    """Content hash identifying one trace's persisted plan arrays."""
+    return _key("plan", trace.fingerprint())
+
+
+def seal(payload: dict) -> dict:
+    """The stored form of ``payload``: its pickle and that pickle's
+    SHA-256 digest."""
+    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    return {"format": MEMO_PAYLOAD_FORMAT,
+            "sha256": hashlib.sha256(body).digest(), "body": body}
+
+
+def _is_sealed(entry: object) -> bool:
+    return (isinstance(entry, dict)
+            and entry.get("format") == MEMO_PAYLOAD_FORMAT
+            and isinstance(entry.get("body"), bytes)
+            and hashlib.sha256(entry["body"]).digest()
+            == entry.get("sha256"))
 
 
 class MemoStore(ContentStore):
-    """The replay-memo namespace: one exported memo payload per key."""
+    """The replay-memo namespace: one sealed payload per key."""
 
     def load(self, key: str) -> dict | None:
         """The persisted payload for ``key``, or ``None``."""
-        return self._get(key, _is_memo_payload)
+        entry = self._get(key, _is_sealed)
+        if entry is None:
+            return None
+        try:
+            return pickle.loads(entry["body"])
+        except _UNREADABLE:
+            self.reject(key)
+            return None
 
     def store(self, key: str, payload: dict) -> None:
         """Write one entry atomically (safe under concurrent writers)."""
-        self._put(key, payload)
+        self._put(key, seal(payload))
 
 
 #: Shared disabled store; safe to pass anywhere a store is expected.
@@ -124,6 +156,20 @@ def clear_registry() -> None:
     _REGISTRY.clear()
 
 
+def _attach_plan_vec(store: MemoStore, core: ReplayCore) -> None:
+    """Give ``core``'s plan its SoA view from the store, or build it and
+    store it when the lookup missed (NumPy backend only)."""
+    if BACKEND != "numpy" or core.plan.vec is not None:
+        return
+    key = plan_key(core.trace)
+    persisted = store.load(key)
+    pv = core._plan_vec(persisted)
+    if not pv.loaded:
+        if persisted is not None:
+            store.reject(key)
+        store.store(key, _replay_vec.plan_vec_payload(pv))
+
+
 def replay_with_memo(
     store: MemoStore, trace: Trace, config: MachineConfig, *,
     observe: bool = False, want_times: bool = False,
@@ -150,6 +196,7 @@ def replay_with_memo(
         from_disk = True
     core = ReplayCore(trace, config, observe=observe,
                       want_times=want_times)
+    _attach_plan_vec(store, core)
     adopted = payload is not None and core.adopt_memo(payload)
     if payload is not None and not adopted:
         if from_disk:
@@ -161,7 +208,7 @@ def replay_with_memo(
     dirty = (
         payload is None
         or outcome.stats.memo_misses > 0
-        or core._resolved is not payload.get("resolved")
+        or core._rec_ids is not payload.get("record_ids")
     )
     if dirty:
         payload = core.export_memo()

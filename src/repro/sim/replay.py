@@ -59,6 +59,7 @@ repeat is blacklisted and replayed directly from then on.
 from __future__ import annotations
 
 import os
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -93,7 +94,29 @@ BACKEND = "numpy" if _np is not None else "scalar"
 
 #: Format tag of persisted replay-memo payloads (see
 #: :meth:`ReplayCore.export_memo` and :mod:`repro.sim.memo`).
-MEMO_PAYLOAD_FORMAT = "replay-memo-v1"
+MEMO_PAYLOAD_FORMAT = "replay-memo-v2"
+
+
+def _id_array(ids: list[int]):
+    """Per-event record ids in the backend's flat int32 form."""
+    if _np is not None:
+        return _np.asarray(ids, dtype=_np.int32)
+    return array("i", ids)
+
+
+def _valid_ids(ids, n_records: int, n_events: int) -> bool:
+    """``ids`` is a flat int32 id array of ``n_events`` entries, each
+    naming one of ``n_records`` records."""
+    if _np is not None:
+        if not (isinstance(ids, _np.ndarray) and ids.dtype == _np.int32
+                and ids.ndim == 1):
+            return False
+        lo, hi = (int(ids.min()), int(ids.max())) if ids.size else (0, -1)
+    else:
+        if not (isinstance(ids, array) and ids.typecode == "i"):
+            return False
+        lo, hi = (min(ids), max(ids)) if ids else (0, -1)
+    return len(ids) == n_events and lo >= 0 and hi < n_records
 
 
 class _UnitState:
@@ -492,8 +515,8 @@ class ReplayCore:
                  "observe", "want_times", "_klasses", "_width",
                  "_stall_on_branches", "_has_units", "_tables",
                  "_block_unit_cache", "_hit_counts", "_miss_counts",
-                 "_blacklisted", "_resolved", "_vec", "_adopted_keys",
-                 "_unit_states")
+                 "_blacklisted", "_records", "_rec_ids", "_vec",
+                 "_adopted_keys", "_unit_states")
 
     def __init__(self, trace: Trace, config: MachineConfig, *,
                  observe: bool = False, want_times: bool = False) -> None:
@@ -530,27 +553,31 @@ class ReplayCore:
         self._hit_counts = [0] * n_blocks
         self._miss_counts = [0] * n_blocks
         self._blacklisted = bytearray(n_blocks)
-        #: Per-event records from the last scalar *resolving* run —
-        #: ``(bid, key, entry, kind)`` with ``kind`` 0 for table-backed
-        #: events and 1 for direct/fallback replays; the input to the
-        #: vectorized kernel and the persisted memo payload.
-        self._resolved: list | None = None
-        #: ``None`` (not built), ``False`` (records inexpressible — stay
-        #: scalar), or the per-core arrays for the vectorized kernel.
+        #: What the last scalar *resolving* run recorded, the input to
+        #: the vectorized kernel and the persisted memo payload: the
+        #: distinct records ``(bid, key, entry, kind)`` — ``kind`` 0 for
+        #: table-backed events, 1 for direct/fallback replays — and one
+        #: record id per schedule event (:func:`_id_array`).
+        self._records: list | None = None
+        self._rec_ids = None
+        #: ``None`` (not built) or the per-core arrays for the
+        #: vectorized kernel.
         self._vec: object = None
         #: Per-block frozensets of memo keys adopted from a persisted
         #: payload (``None`` until :meth:`adopt_memo`), for the
         #: ``memo_persisted_hits`` counter.
         self._adopted_keys: list | None = None
 
-    def _plan_vec(self):
-        """The (lazily built) SoA view of the plan, shared per trace."""
+    def _plan_vec(self, persisted=None):
+        """The (lazily built) SoA view of the plan, shared per trace;
+        taken from ``persisted`` plan arrays when they fit."""
         pv = self.plan.vec
         if pv is None:
             entries, _ = _static_skeleton(self.trace)
             pv = _replay_vec.build_plan_vec(
                 self.trace, self.plan, entries,
                 lambda block: _block_dataflow(block, entries),
+                persisted,
             )
             self.plan.vec = pv
         return pv
@@ -559,9 +586,11 @@ class ReplayCore:
         """Snapshot the learned memo state as a persistable payload.
 
         The payload shares the live table/record object graphs (cheap;
-        pickling deduplicates shared tuples).  Adopted by a later core
-        via :meth:`adopt_memo`; stored on disk by
-        :mod:`repro.sim.memo`.
+        pickling deduplicates shared tuples, so a table-backed record
+        costs a reference).  ``records``/``record_ids`` are the last
+        resolving run's distinct records and flat per-event ids (both
+        ``None`` before one).  Adopted by a later core via
+        :meth:`adopt_memo`; stored on disk by :mod:`repro.sim.memo`.
         """
         return {
             "format": MEMO_PAYLOAD_FORMAT,
@@ -569,19 +598,22 @@ class ReplayCore:
             "mode": (self.observe, self.want_times),
             "tables": self._tables,
             "blacklisted": bytes(self._blacklisted),
-            "resolved": self._resolved,
+            "records": self._records,
+            "record_ids": self._rec_ids,
         }
 
     def adopt_memo(self, payload) -> bool:
         """Adopt a persisted memo payload; ``False`` leaves state untouched.
 
         Structural validation mirrors the trace cache: a payload with
-        the wrong format tag, backend key format, replay mode, or block
-        shape is reported stale/corrupt rather than trusted — the
-        caller drops the cache entry and the core starts cold.  Value
-        errors a structural walk cannot see are caught later by the
-        vectorized kernel's per-run verification (and can only ever
-        cost a scalar re-resolve, never a wrong result).
+        the wrong format tag, backend key format, replay mode, block
+        shape, or record-id array (dtype, length, id range) is reported
+        stale/corrupt rather than trusted — the caller drops the cache
+        entry and the core starts cold.  Records the vectorized kernel
+        cannot express, or whose keys no longer verify against the
+        dependence chains, cost a scalar re-resolve.  Entry *values*
+        are trusted: on disk they are covered by the store's content
+        digest (:mod:`repro.sim.memo`).
         """
         blocks = self.plan.blocks
         n_blocks = len(blocks)
@@ -594,7 +626,8 @@ class ReplayCore:
                 return False
             tables = payload["tables"]
             black = payload["blacklisted"]
-            resolved = payload["resolved"]
+            records = payload["records"]
+            ids = payload["record_ids"]
             if not isinstance(tables, list) or len(tables) != n_blocks:
                 return False
             if not isinstance(black, (bytes, bytearray)) \
@@ -611,18 +644,19 @@ class ReplayCore:
                         return False
                     if not isinstance(entry, tuple) or len(entry) != 9:
                         return False
-            if resolved is not None:
-                if not isinstance(resolved, list) \
-                        or len(resolved) != len(self.plan.schedule):
-                    return False
-                for rec in resolved:
-                    if not isinstance(rec, tuple) or len(rec) != 4:
-                        return False
+            if (records is None) != (ids is None):
+                return False
+            if records is not None and not (
+                    isinstance(records, list)
+                    and _valid_ids(ids, len(records),
+                                   len(self.plan.schedule))):
+                return False
         except (AttributeError, TypeError, KeyError):
             return False
         self._tables = tables
         self._blacklisted = bytearray(black)
-        self._resolved = resolved
+        self._records = records
+        self._rec_ids = ids
         self._vec = None
         self._adopted_keys = [
             frozenset(table) if table else None for table in tables
@@ -776,27 +810,25 @@ class ReplayCore:
         """
         if not memoize:
             return self._run_plain()
-        if _np is not None:
-            pv = self._plan_vec()
-            vec = self._vec
-            if vec is None and self._resolved is not None:
-                vec = _replay_vec.build_core_vec(self, pv)
-                if vec is None:
-                    vec = False
-                self._vec = vec
-            if vec is not None and vec is not False:
-                out = _replay_vec.run_vectorized(self, pv, vec)
-                if out is not None:
-                    return out
-                # A recorded key no longer matches its chain (e.g. a
-                # stale adopted memo): re-resolve on the scalar path.
-                self._vec = None
-                self._resolved = None
-                out = self._run_memoized(pv, resolve=True)
-                out.stats.scalar_fallback_blocks = out.stats.blocks
+        if _np is None:
+            return self._run_memoized(None, resolve=False)
+        pv = self._plan_vec()
+        if self._vec is None and self._records is not None:
+            self._vec = _replay_vec.build_core_vec(self, pv)
+        if self._vec is not None:
+            out = _replay_vec.run_vectorized(self, pv, self._vec)
+            if out is not None:
                 return out
-            return self._run_memoized(pv, resolve=vec is not False)
-        return self._run_memoized(None, resolve=False)
+        if self._records is None:
+            return self._run_memoized(pv, resolve=True)
+        # The records cannot be expressed, or a recorded key no longer
+        # matches its chain (e.g. a stale adopted memo): re-resolve on
+        # the scalar path.
+        self._vec = None
+        self._records = self._rec_ids = None
+        out = self._run_memoized(pv, resolve=True)
+        out.stats.scalar_fallback_blocks = out.stats.blocks
+        return out
 
     def _reset_units(self) -> None:
         """Zero every functional unit's copy free-times (run start)."""
@@ -837,8 +869,10 @@ class ReplayCore:
         alias id instead of a per-chunk tuple.  With ``resolve=True``
         every event additionally records ``(bid, key, entry, kind)`` —
         direct and fallback replays synthesize an equivalent key/entry
-        pair from their observed entry state and effects — feeding the
-        vectorized kernel and the persisted memo payload.
+        pair from their observed entry state and effects — as a record
+        id into the distinct records (a table entry is recorded once
+        however often it hits), feeding the vectorized kernel and the
+        persisted memo payload.
         """
         self._reset_units()
         trace = self.trace
@@ -859,9 +893,14 @@ class ReplayCore:
         last_finish = 0
         m = 0
 
-        alias_ids = pv.alias_ids if pv is not None else None
-        resolved: list | None = [] if resolve else None
-        rec_append = resolved.append if resolved is not None else None
+        alias_ids = (pv.alias_ids.tolist()
+                     if pv is not None and pv.alias_ids is not None
+                     else None)
+        records: list | None = [] if resolve else None
+        rec_ids: list[int] = []
+        id_append = rec_ids.append if resolve else None
+        #: ``id(entry)`` -> record id; entries stay alive in ``records``
+        rec_of: dict[int, int] = {}
         skel_entries = _static_skeleton(trace)[0] if resolve else None
         adopted = self._adopted_keys
         persisted = 0
@@ -1024,8 +1063,12 @@ class ReplayCore:
                             akeys = adopted[bid]
                             if akeys is not None and key in akeys:
                                 persisted += 1
-                        if rec_append is not None:
-                            rec_append((bid, key, entry, 0))
+                        if id_append is not None:
+                            rid = rec_of.get(id(entry))
+                            if rid is None:
+                                rid = rec_of[id(entry)] = len(records)
+                                records.append((bid, key, entry, 0))
+                            id_append(rid)
                         continue
                     # Miss: replay directly, capturing the block's effect.
                     if observe:
@@ -1098,8 +1141,10 @@ class ReplayCore:
                         if tcap is not None else None,
                     )
                     table[key] = entry
-                    if rec_append is not None:
-                        rec_append((bid, key, entry, 0))
+                    if id_append is not None:
+                        rec_of[id(entry)] = len(records)
+                        id_append(len(records))
+                        records.append((bid, key, entry, 0))
                     if cap is not None:
                         for kl, ci, cyc in cap:
                             charge(kl, ci, cyc)
@@ -1116,7 +1161,7 @@ class ReplayCore:
                     continue
                 stats.fallbacks += 1
             # Direct replay: ineligible, blacklisted, or fallback.
-            if rec_append is None:
+            if id_append is None:
                 m, cur_cycle, cur_count, branch_floor, local_fin = \
                     self._replay_segments(
                         block.segments, m, reg_ready, mem_ready,
@@ -1209,7 +1254,8 @@ class ReplayCore:
                     charge(kl, ci, cyc)
             if tcap is not None:
                 times.extend(tcap)
-            rec_append((bid, key, entry, 1))
+            id_append(len(records))
+            records.append((bid, key, entry, 1))
 
         for bid, before in enumerate(hits_before):
             dh = hit_counts[bid] - before
@@ -1222,8 +1268,9 @@ class ReplayCore:
                 stats.memo_misses += dm
         stats.direct_instructions = trace.n - stats.memo_instructions
         stats.memo_persisted_hits = persisted
-        if resolved is not None:
-            self._resolved = resolved
+        if records is not None:
+            self._records = records
+            self._rec_ids = _id_array(rec_ids)
             self._vec = None
 
         if breakdown is not None:

@@ -23,11 +23,18 @@ plan, materialized once per trace (:func:`build_plan_vec`):
 * cumulative issue-width state: the intra-cycle issue count entering
   and leaving every event.
 
+The machine-independent arrays persist once per trace as int32
+(:func:`plan_vec_payload`); :func:`build_plan_vec` takes them back
+instead of rebuilding when they fit the plan.
+
 A first, scalar *resolving* run records per event the memo key it used
 and the relative-effect entry it applied (capturing equivalent records
-for blocks replayed directly).  :func:`build_core_vec` flattens those
-records into per-machine arrays, and :func:`run_vectorized` then
-replays the schedule without touching a Python loop:
+for blocks replayed directly), as an id into the run's distinct
+records — a hot block's few table entries serve thousands of events.
+:func:`build_core_vec` flattens each distinct record once and builds the
+per-machine arrays with NumPy gathers over the ids, and
+:func:`run_vectorized` then replays the schedule without touching a
+Python loop:
 
 1. entry cycles ``T`` are the prefix sum of the recorded per-event
    cycle advances;
@@ -57,20 +64,39 @@ import numpy as np
 #: after any ``T[src] + NEG - T[event]`` (cycle counts are < 2**40).
 _NEG = -(1 << 40)
 
+#: Format tag of persisted plan arrays (:func:`plan_vec_payload`).
+PLAN_VEC_FORMAT = "replay-plan-v1"
+
+#: The :class:`PlanVec` arrays persisted once per trace, all int32.
+#: Everything else on a plan view is derived from the plan itself in a
+#: few vectorized passes.
+PERSISTED = ("alias_ids", "do_off", "so_off", "ev_nlive", "rp_src",
+             "rp_slot", "mp_g", "mp_src", "mp_srcslot", "blk_store_off",
+             "blk_store_pos")
+
 
 class PlanVec:
-    """Machine-independent SoA view of one replay plan (shared per trace)."""
+    """Machine-independent SoA view of one replay plan (shared per trace).
 
-    __slots__ = (
-        "n_events", "ev_bid", "ev_ninstr", "ev_nmem", "ev_mem_start",
-        "alias_ids", "do_off", "so_off", "uo_blocks",
-        "rp_ev", "rp_src", "rp_slot", "n_reg_slots",
-        "mp_g", "mp_ev", "mp_src", "mp_srcslot", "n_store_slots",
-    )
+    The arrays of :data:`PERSISTED` — per event the alias id,
+    def/store slot offsets and live-in count; the register chains
+    (``rp_*``: producer event and def slot per live-in) and the
+    cross-block store→load chains (``mp_*``: global load position,
+    producer event and store slot); each block's store chunk positions
+    (chunk position → store ordinal) — plus what the plan yields
+    directly: per-event block id, instruction count, memory chunk
+    offset, and the consumer event of every chain pair.  ``loaded`` is
+    True when the persisted arrays came from a payload rather than
+    being built here.
+    """
+
+    __slots__ = ("n_events", "ev_bid", "ev_ninstr", "ev_mem_start",
+                 "rp_ev", "mp_ev", "n_reg_slots", "n_store_slots",
+                 "loaded") + PERSISTED
 
 
 class CoreVec:
-    """Per-(machine, mode) arrays flattened from one resolving run."""
+    """Per-(machine, mode) arrays gathered from one core's records."""
 
     __slots__ = (
         "d_cyc", "entry_count", "exit_count", "d_floor", "floor_key",
@@ -106,39 +132,135 @@ def _segmented_prev_store(addr, is_store):
     return out
 
 
-def build_plan_vec(trace, plan, entries, ensure_dataflow):
-    """Build the machine-independent SoA arrays for ``plan``.
+def _offsets(counts):
+    """Exclusive prefix sum with the total appended (length n + 1)."""
+    off = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=off[1:])
+    return off
 
-    ``entries`` is the static skeleton, ``ensure_dataflow`` a callable
-    filling in a block's live-in/def/load/store summaries (needed for
-    blocks the scalar path replays directly and never summarizes).
+
+def _event_layout(pv, plan):
+    """Fill the per-event arrays that follow from the plan alone;
+    returns the per-event memory-op counts."""
+    blocks = plan.blocks
+    n = len(plan.schedule)
+    pv.n_events = n
+    pv.ev_bid = np.fromiter(plan.schedule, dtype=np.int32, count=n)
+    n_instrs = np.fromiter((b.n_instrs for b in blocks), dtype=np.int64,
+                           count=len(blocks))
+    n_mems = np.fromiter((b.n_mem for b in blocks), dtype=np.int64,
+                         count=len(blocks))
+    pv.ev_ninstr = n_instrs[pv.ev_bid]
+    ev_nmem = n_mems[pv.ev_bid]
+    pv.ev_mem_start = _offsets(ev_nmem)[:-1]
+    return ev_nmem
+
+
+def _finish(pv):
+    """Derive the slot totals and the consumer events of both chains."""
+    pv.n_reg_slots = int(pv.do_off[-1])
+    pv.n_store_slots = int(pv.so_off[-1])
+    pv.rp_ev = np.repeat(np.arange(pv.n_events, dtype=np.int32),
+                         pv.ev_nlive)
+    pv.mp_ev = (np.searchsorted(pv.ev_mem_start, pv.mp_g, side="right")
+                - 1).astype(np.int32)
+    return pv
+
+
+def plan_vec_payload(pv) -> dict:
+    """The persistable form of ``pv``: its :data:`PERSISTED` arrays."""
+    return {
+        "format": PLAN_VEC_FORMAT,
+        "n_events": pv.n_events,
+        "n_blocks": len(pv.blk_store_off) - 1,
+        "arrays": {name: getattr(pv, name) for name in PERSISTED},
+    }
+
+
+def _in_range(a, hi) -> bool:
+    return a.size == 0 or (int(a.min()) >= 0 and int(a.max()) < hi)
+
+
+def _is_offsets(a, n) -> bool:
+    return (a.size == n + 1 and a[0] == 0
+            and bool((a[1:] >= a[:-1]).all()))
+
+
+def _adopt_arrays(pv, payload, n_blocks: int, m_total: int) -> bool:
+    """Take ``payload``'s arrays onto ``pv`` when their dtype, shape,
+    lengths and index ranges fit this plan."""
+    n = pv.n_events
+    try:
+        if (payload.get("format") != PLAN_VEC_FORMAT
+                or payload.get("n_events") != n
+                or payload.get("n_blocks") != n_blocks):
+            return False
+        arrays = payload["arrays"]
+        for name in PERSISTED:
+            a = arrays[name]
+            if a is None and name == "alias_ids" and m_total == 0:
+                pass
+            elif not (isinstance(a, np.ndarray) and a.dtype == np.int32
+                      and a.ndim == 1):
+                return False
+            setattr(pv, name, a)
+    except (AttributeError, KeyError, TypeError):
+        return False
+    if not (_is_offsets(pv.do_off, n) and _is_offsets(pv.so_off, n)
+            and _is_offsets(pv.blk_store_off, n_blocks)):
+        return False
+    n_rp, n_mp = pv.rp_src.size, pv.mp_g.size
+    return (
+        (pv.alias_ids is None or pv.alias_ids.size == n)
+        and pv.ev_nlive.size == n and _in_range(pv.ev_nlive, n_rp + 1)
+        and int(pv.ev_nlive.sum()) == n_rp == pv.rp_slot.size
+        and pv.mp_src.size == pv.mp_srcslot.size == n_mp
+        and pv.blk_store_pos.size == pv.blk_store_off[-1]
+        and _in_range(pv.rp_src, n)
+        and _in_range(pv.rp_slot, int(pv.do_off[-1]) + 1)
+        and _in_range(pv.mp_g, m_total) and _in_range(pv.mp_src, n)
+        and _in_range(pv.mp_srcslot, int(pv.so_off[-1]))
+    )
+
+
+def build_plan_vec(trace, plan, entries, ensure_dataflow, persisted=None):
+    """The machine-independent SoA arrays for ``plan``.
+
+    With ``persisted`` (a :func:`plan_vec_payload` read back from the
+    memo store) that fits this plan, the arrays are taken as they are
+    and ``loaded`` is set.  Otherwise they are built: ``entries`` is the
+    static skeleton, ``ensure_dataflow`` a callable filling in a block's
+    live-in/def/load/store summaries (needed for blocks the scalar path
+    replays directly and never summarizes).
     """
     blocks = plan.blocks
     schedule = plan.schedule
-    n_events = len(schedule)
     pv = PlanVec()
-    pv.n_events = n_events
-    if n_events == 0:
-        pv.alias_ids = None
-        return pv
+    ev_nmem = _event_layout(pv, plan)
+    m_total = len(trace.mem_addrs)
+    pv.loaded = persisted is not None and _adopt_arrays(
+        pv, persisted, len(blocks), m_total)
+    if pv.loaded:
+        return _finish(pv)
 
-    for bid in set(schedule):
+    n_events = pv.n_events
+    used = sorted(set(schedule))
+    for bid in used:
         ensure_dataflow(blocks[bid])
-
-    ev_bid = np.fromiter(schedule, dtype=np.int32, count=n_events)
-    n_instrs = np.fromiter((b.n_instrs for b in blocks), dtype=np.int64)
-    n_mems = np.fromiter((b.n_mem for b in blocks), dtype=np.int64)
-    pv.ev_bid = ev_bid
-    pv.ev_ninstr = n_instrs[ev_bid]
-    pv.ev_nmem = n_mems[ev_bid]
-    ev_mem_start = np.empty(n_events, dtype=np.int64)
-    ev_mem_start[0] = 0
-    np.cumsum(pv.ev_nmem[:-1], out=ev_mem_start[1:])
-    pv.ev_mem_start = ev_mem_start
+    store_counts = np.zeros(len(blocks), dtype=np.int64)
+    store_pos: list[int] = []
+    for bid in used:
+        sel = blocks[bid].store_sel
+        store_counts[bid] = len(sel)
+        store_pos.extend(sel)
+    pv.blk_store_off = _offsets(store_counts).astype(np.int32)
+    pv.blk_store_pos = np.asarray(store_pos, dtype=np.int32)
+    so_off = _offsets(store_counts[pv.ev_bid])
+    pv.so_off = so_off.astype(np.int32)
+    ev_mem_start = pv.ev_mem_start
 
     # ---- memory structure: alias ids + cross-block store→load pairs
     addr = np.asarray(trace.mem_addrs, dtype=np.int64)
-    m_total = int(addr.size)
     if m_total:
         store_pat = {}
         parts = []
@@ -151,12 +273,9 @@ def build_plan_vec(trace, plan, entries, ensure_dataflow):
                     pat[list(block.store_sel)] = True
                 store_pat[bid] = pat
             parts.append(pat)
-        is_store_g = np.concatenate(parts) if parts else \
-            np.zeros(0, dtype=bool)
+        is_store_g = np.concatenate(parts)
         prev_store = _segmented_prev_store(addr, is_store_g)
-        ev_of = np.searchsorted(ev_mem_start,
-                                np.arange(m_total, dtype=np.int64),
-                                side="right") - 1
+        ev_of = np.repeat(np.arange(n_events, dtype=np.int64), ev_nmem)
         ev_start_of = ev_mem_start[ev_of]
 
         # Alias id per event: the store→load matching inside the chunk,
@@ -177,15 +296,14 @@ def build_plan_vec(trace, plan, entries, ensure_dataflow):
                 aid = len(intern) + 1
                 intern[key] = aid
             alias_ids[p] = aid
-        pv.alias_ids = alias_ids
+        pv.alias_ids = np.asarray(alias_ids, dtype=np.int32)
 
         # Per load, the last store to the same word *before its block*:
         # follow the in-block chain out of the block (store finishes are
         # position-monotone, so only the latest pre-block store can ever
         # impose a wait).
-        is_load_g = np.zeros(m_total, dtype=bool)
         load_pat = {}
-        pos = 0
+        parts = []
         for bid in schedule:
             pat = load_pat.get(bid)
             if pat is None:
@@ -194,52 +312,34 @@ def build_plan_vec(trace, plan, entries, ensure_dataflow):
                 if block.load_sel:
                     pat[list(block.load_sel)] = True
                 load_pat[bid] = pat
-            is_load_g[pos:pos + pat.size] = pat
-            pos += pat.size
+            parts.append(pat)
+        is_load_g = np.concatenate(parts)
         ls_pre = prev_store.copy()
         mask = (ls_pre >= 0) & (ls_pre >= ev_start_of)
         while mask.any():
             ls_pre[mask] = prev_store[ls_pre[mask]]
             mask = (ls_pre >= 0) & (ls_pre >= ev_start_of)
-        pair_mask = is_load_g & (ls_pre >= 0)
-        mp_g = np.nonzero(pair_mask)[0].astype(np.int64)
+        mp_g = np.nonzero(is_load_g & (ls_pre >= 0))[0]
         src_g = ls_pre[mp_g]
         # store ordinal within its event = stores before it in the event
-        s_excl = np.zeros(m_total, dtype=np.int64)
-        np.cumsum(is_store_g[:-1], out=s_excl[1:])
-        so_counts = np.fromiter(
-            (len(blocks[b].store_sel) for b in schedule),
-            dtype=np.int64, count=n_events)
-        so_off = np.zeros(n_events + 1, dtype=np.int64)
-        np.cumsum(so_counts, out=so_off[1:])
+        s_excl = _offsets(is_store_g)
         mp_src = ev_of[src_g]
-        pv.mp_g = mp_g
-        pv.mp_ev = ev_of[mp_g].astype(np.int32)
+        pv.mp_g = mp_g.astype(np.int32)
         pv.mp_src = mp_src.astype(np.int32)
-        pv.mp_srcslot = (so_off[mp_src]
-                         + (s_excl[src_g] - s_excl[ev_mem_start[mp_src]])
-                         ).astype(np.int64)
-        pv.so_off = so_off
-        pv.n_store_slots = int(so_off[-1])
+        pv.mp_srcslot = (so_off[mp_src] + s_excl[src_g]
+                         - s_excl[ev_mem_start[mp_src]]).astype(np.int32)
     else:
         pv.alias_ids = None
-        pv.mp_g = np.zeros(0, dtype=np.int64)
-        pv.mp_ev = np.zeros(0, dtype=np.int32)
-        pv.mp_src = np.zeros(0, dtype=np.int32)
-        pv.mp_srcslot = np.zeros(0, dtype=np.int64)
-        pv.so_off = np.zeros(n_events + 1, dtype=np.int64)
-        pv.n_store_slots = 0
+        pv.mp_g = pv.mp_src = pv.mp_srcslot = np.zeros(0, dtype=np.int32)
 
     # ---- register dependence chains (last definition wins)
-    do_off = np.zeros(n_events + 1, dtype=np.int64)
-    np.cumsum(
-        np.fromiter((len(blocks[b].defs) for b in schedule),
-                    dtype=np.int64, count=n_events),
-        out=do_off[1:])
-    pv.do_off = do_off
+    do_off = _offsets(np.fromiter(
+        (len(blocks[b].defs) for b in schedule), dtype=np.int64,
+        count=n_events))
+    pv.do_off = do_off.astype(np.int32)
     n_def_slots = int(do_off[-1])
     max_reg = 0
-    for b in set(schedule):
+    for b in used:
         block = blocks[b]
         for r in block.live_ins:
             if r > max_reg:
@@ -248,14 +348,14 @@ def build_plan_vec(trace, plan, entries, ensure_dataflow):
             if r > max_reg:
                 max_reg = r
     last_def: list = [None] * (max_reg + 1)
-    rp_ev: list[int] = []
+    nlive = np.fromiter((len(blocks[b].live_ins) for b in schedule),
+                        dtype=np.int32, count=n_events)
     rp_src: list[int] = []
     rp_slot: list[int] = []
     for p, bid in enumerate(schedule):
         block = blocks[bid]
         for r in block.live_ins:
             src = last_def[r]
-            rp_ev.append(p)
             if src is None:
                 rp_src.append(0)
                 rp_slot.append(n_def_slots)  # sentinel: clamps to zero
@@ -265,183 +365,238 @@ def build_plan_vec(trace, plan, entries, ensure_dataflow):
         base = int(do_off[p])
         for k, r in enumerate(block.defs):
             last_def[r] = (p, base + k)
-    pv.rp_ev = np.asarray(rp_ev, dtype=np.int32)
+    pv.ev_nlive = nlive
     pv.rp_src = np.asarray(rp_src, dtype=np.int32)
-    pv.rp_slot = np.asarray(rp_slot, dtype=np.int64)
-    pv.n_reg_slots = n_def_slots
-    pv.uo_blocks = None  # functional units are machine-dependent
-    return pv
+    pv.rp_slot = np.asarray(rp_slot, dtype=np.int32)
+    return _finish(pv)
+
+
+def _ragged(flat, lens, ids):
+    """Gather variable-length runs: record ``r`` owns the next
+    ``lens[r]`` values of ``flat`` (records laid end to end); returns
+    the runs of ``ids``, concatenated, and their lengths."""
+    lens = np.asarray(lens, dtype=np.int64)
+    starts = _offsets(lens)[:-1]
+    ev_lens = lens[ids]
+    ends = np.cumsum(ev_lens)
+    total = int(ends[-1]) if ends.size else 0
+    idx = np.repeat(starts[ids] - ends + ev_lens, ev_lens)
+    idx += np.arange(total, dtype=np.int64)
+    return np.asarray(flat, dtype=np.int64)[idx], ev_lens
+
+
+def _unit_chains(core, pv):
+    """The functional-unit occupancy chains: for every (event, unit the
+    block uses, copy) the previous event using that unit and the slot of
+    its recorded free-time delta (a sentinel slot when there is none).
+    Returns ``(up_ev, up_src, up_slot, n_unit_slots)``."""
+    n_blocks = len(core.plan.blocks)
+    unit_of: dict[int, int] = {}
+    mults: list[int] = []
+    lens = np.zeros(n_blocks, dtype=np.int64)
+    flat: list[int] = []
+    for bid in np.unique(pv.ev_bid).tolist():
+        units = core._block_units(bid)
+        lens[bid] = len(units)
+        for s in units:
+            gid = unit_of.get(id(s))
+            if gid is None:
+                gid = unit_of[id(s)] = len(mults)
+                mults.append(len(s.free))
+            flat.append(gid)
+    use_gid, per_event = _ragged(flat, lens, pv.ev_bid)
+    n_uses = use_gid.size
+    use_ev = np.repeat(np.arange(pv.n_events, dtype=np.int64), per_event)
+    copies = np.asarray(mults, dtype=np.int64)[use_gid]
+    slot = _offsets(copies)
+    n_slots = int(slot[-1])
+    slot = slot[:-1]
+    # Previous use of the same unit: neighbours in (unit, use) order.
+    order = np.lexsort((np.arange(n_uses), use_gid))
+    prev = np.full(n_uses, -1, dtype=np.int64)
+    same = use_gid[order[1:]] == use_gid[order[:-1]]
+    prev[order[1:][same]] = order[:-1][same]
+    has = prev >= 0
+    copy = np.arange(n_slots, dtype=np.int64) - np.repeat(slot, copies)
+    up_src = np.repeat(np.where(has, use_ev[prev], 0), copies)
+    up_slot = np.where(np.repeat(has, copies),
+                       np.repeat(slot[prev], copies) + copy, n_slots)
+    return (np.repeat(use_ev, copies).astype(np.int32),
+            up_src.astype(np.int32), up_slot, n_slots)
 
 
 def build_core_vec(core, pv):
-    """Flatten one core's resolving-run records into replay arrays.
+    """Gather one core's distinct records into per-event replay arrays.
 
-    Returns a :class:`CoreVec`, or ``None`` when the records cannot be
-    expressed (structurally inconsistent — e.g. an adopted memo from a
-    stale or corrupt file): the caller then stays on the scalar path.
+    Each distinct record (``core._records``) is flattened once; every
+    per-event array is then a NumPy gather over the per-event record
+    ids (``core._rec_ids``).  Returns a :class:`CoreVec`, or ``None``
+    when the records cannot be expressed (structurally inconsistent —
+    e.g. an adopted memo from a stale or corrupt file): the caller then
+    re-resolves on the scalar path.
     """
-    records = core._resolved
+    records = core._records
+    ids = core._rec_ids
     n_events = pv.n_events
-    if records is None or n_events == 0 or len(records) != n_events:
+    if records is None or ids is None or n_events == 0 \
+            or len(ids) != n_events:
         return None
+    try:
+        return _gather_core_vec(core, pv, records, np.asarray(ids))
+    except (TypeError, ValueError, IndexError, KeyError, AttributeError,
+            OverflowError):
+        # Structurally inconsistent records (stale/corrupt adoption).
+        return None
+
+
+def _gather_core_vec(core, pv, records, ids):
     blocks = core.plan.blocks
-    schedule = core.plan.schedule
     tables = core._tables
     adopted = core._adopted_keys
-    cv = CoreVec()
-    try:
-        d_cyc = np.empty(n_events, dtype=np.int64)
-        entry_count = np.empty(n_events, dtype=np.int64)
-        exit_count = np.empty(n_events, dtype=np.int64)
-        d_floor = np.empty(n_events, dtype=np.int64)
-        floor_key = np.empty(n_events, dtype=np.int64)
-        d_fin = np.empty(n_events, dtype=np.int64)
-        regs_exp: list[int] = []
-        regs_out = np.full(pv.n_reg_slots + 1, _NEG, dtype=np.int64)
-        stores_out = np.full(pv.n_store_slots + 1, _NEG, dtype=np.int64)
-        ext_sparse: list[tuple[int, int, int]] = []  # (event, loadj, d)
-        want_units = core._has_units
-        up_ev: list[int] = []
-        up_src: list[int] = []
-        up_slot: list[int] = []
-        units_exp: list[int] = []
-        units_out: list[int] = []
-        last_use: dict[int, tuple[int, int]] = {}
-        unit_ids: dict[int, int] = {}
-        memo_hits = fallbacks = 0
-        memo_instr = direct_instr = persisted = 0
-        merged_charges: dict[tuple, int] = {}
-        times_flat: list[int] | None = [] if core.want_times else None
+    observe = core.observe
+    want_times = core.want_times
+    want_units = core._has_units
+    sto_off = pv.blk_store_off.tolist()
+    sto_pos = pv.blk_store_pos.tolist()
 
-        for p, rec in enumerate(records):
-            bid, key, entry, kind = rec
-            if bid != schedule[p]:
-                return None
-            block = blocks[bid]
-            (dc, xc, dfl, r_out, s_out, u_out, dfin, charges,
-             time_deltas) = entry
-            d_cyc[p] = dc
-            exit_count[p] = xc
-            d_floor[p] = dfl
-            d_fin[p] = dfin
-            entry_count[p] = key[0]
-            floor_key[p] = key[1]
-            regs_key = key[2]
-            if len(regs_key) != len(block.live_ins):
-                return None
-            regs_exp.extend(regs_key)
-            if len(r_out) != len(block.defs):
-                return None
-            base = int(pv.do_off[p])
-            for k, (_, dv) in enumerate(r_out):
-                regs_out[base + k] = dv
-            base = int(pv.so_off[p])
-            for j, dv in s_out:
-                # chunk position -> store ordinal within the block
-                stores_out[base + block.store_sel.index(j)] = dv
-            for j, dv in key[5]:
-                ext_sparse.append((p, j, dv))
-            if want_units:
-                ustates = core._block_units(bid)
-                unit_key = key[3]
-                if len(unit_key) != len(ustates) \
-                        or len(u_out) != len(ustates):
-                    return None
-                for s, exp_frees, out_frees in zip(ustates, unit_key,
-                                                   u_out):
-                    mult = len(s.free)
-                    if len(exp_frees) != mult or len(out_frees) != mult:
-                        return None
-                    gi = unit_ids.setdefault(id(s), len(unit_ids))
-                    src = last_use.get(gi)
-                    slot = len(units_out)
-                    for c in range(mult):
-                        up_ev.append(p)
-                        if src is None:
-                            up_src.append(0)
-                            up_slot.append(-1)  # patched to sentinel below
-                        else:
-                            up_src.append(src[0])
-                            up_slot.append(src[1] + c)
-                    units_exp.extend(exp_frees)
-                    units_out.extend(out_frees)
-                    last_use[gi] = (p, slot)
-            if charges is not None:
-                for kl, ci, cyc in charges:
-                    ck = (kl, ci)
-                    merged_charges[ck] = merged_charges.get(ck, 0) + cyc
-            if times_flat is not None:
-                if time_deltas is None \
-                        or len(time_deltas) != block.n_instrs:
-                    return None
-                times_flat.extend(time_deltas)
-
-            n = block.n_instrs
-            if tables[bid] is None:
-                direct_instr += n
-            elif kind:
-                fallbacks += 1
-                direct_instr += n
-            else:
-                memo_hits += 1
-                memo_instr += n
-                if adopted is not None and adopted[bid] is not None \
-                        and key in adopted[bid]:
-                    persisted += 1
-
-        cv.d_cyc = d_cyc
-        cv.entry_count = entry_count
-        cv.exit_count = exit_count
-        cv.d_floor = d_floor
-        cv.floor_key = floor_key
-        cv.d_fin = d_fin
-        cv.regs_exp = np.asarray(regs_exp, dtype=np.int64)
-        if cv.regs_exp.size != pv.rp_ev.size:
-            return None
-        cv.regs_out = regs_out
-        cv.stores_out = stores_out
-        ext_exp = np.zeros(pv.mp_g.size, dtype=np.int64)
-        for p, j, dv in ext_sparse:
-            g = int(pv.ev_mem_start[p]) + j
-            idx = int(np.searchsorted(pv.mp_g, g))
-            if idx >= pv.mp_g.size or pv.mp_g[idx] != g:
-                return None  # external wait with no recorded producer
-            ext_exp[idx] = dv
-        cv.ext_exp = ext_exp
-        if want_units and up_ev:
-            n_unit_slots = len(units_out)
-            out = np.full(n_unit_slots + 1, _NEG, dtype=np.int64)
-            out[:n_unit_slots] = units_out
-            slot = np.asarray(up_slot, dtype=np.int64)
-            slot[slot < 0] = n_unit_slots
-            cv.up_ev = np.asarray(up_ev, dtype=np.int32)
-            cv.up_src = np.asarray(up_src, dtype=np.int32)
-            cv.up_slot = slot
-            cv.units_exp = np.asarray(units_exp, dtype=np.int64)
-            cv.units_out = out
+    # ---- flatten each distinct record once
+    scalars: list[tuple] = []
+    regs: list[int] = []
+    regs_n: list[int] = []
+    defs: list[int] = []
+    defs_n: list[int] = []
+    stores: list[int] = []
+    stores_n: list[int] = []
+    ext_j: list[int] = []
+    ext_d: list[int] = []
+    ext_n: list[int] = []
+    u_exp: list[int] = []
+    u_out: list[int] = []
+    units_n: list[int] = []
+    times: list[int] = []
+    times_n: list[int] = []
+    charges: list = []
+    for bid, key, entry, kind in records:
+        (d_cyc, exit_count, d_floor, regs_out, stores_out, units_out,
+         d_fin, charge_list, time_deltas) = entry
+        entry_count, floor_key, regs_key, unit_key, _, ext = key
+        n_instrs = blocks[bid].n_instrs
+        # 0 direct, 1 fallback, 2 memo hit, 3 memo hit on an adopted key
+        if tables[bid] is None:
+            kind_of = 0
+        elif kind:
+            kind_of = 1
+        elif adopted is not None and adopted[bid] is not None \
+                and key in adopted[bid]:
+            kind_of = 3
         else:
-            cv.up_ev = None
-            cv.up_src = None
-            cv.up_slot = None
-            cv.units_exp = None
-            cv.units_out = None
-        cv.memo_hits = memo_hits
-        cv.fallbacks = fallbacks
-        cv.memo_instructions = memo_instr
-        cv.direct_instructions = direct_instr
-        cv.persisted_hits = persisted
-        cv.charges = (
-            [(kl, ci, cyc) for (kl, ci), cyc in merged_charges.items()]
-            if core.observe else None
-        )
-        cv.times_flat = (
-            np.asarray(times_flat, dtype=np.int64)
-            if times_flat is not None else None
-        )
-    except (TypeError, ValueError, IndexError, KeyError, AttributeError):
-        # Structurally inconsistent records (stale/corrupt adoption):
-        # stay on the scalar path, which re-resolves from scratch.
+            kind_of = 2
+        scalars.append((bid, d_cyc, exit_count, d_floor, d_fin,
+                        entry_count, floor_key, n_instrs, kind_of))
+        regs.extend(regs_key)
+        regs_n.append(len(regs_key))
+        defs.extend([dv for _, dv in regs_out])
+        defs_n.append(len(regs_out))
+        lo = sto_off[bid]
+        n_sto = sto_off[bid + 1] - lo
+        dense = [_NEG] * n_sto
+        if stores_out:
+            # chunk position -> store ordinal within the block
+            sel = sto_pos[lo:lo + n_sto]
+            for j, dv in stores_out:
+                dense[sel.index(j)] = dv
+        stores.extend(dense)
+        stores_n.append(n_sto)
+        for j, dv in ext:
+            ext_j.append(j)
+            ext_d.append(dv)
+        ext_n.append(len(ext))
+        if want_units:
+            units = core._block_units(bid)
+            if len(unit_key) != len(units) or len(units_out) != len(units):
+                return None
+            width = 0
+            for s, exp_frees, out_frees in zip(units, unit_key, units_out):
+                mult = len(s.free)
+                if len(exp_frees) != mult or len(out_frees) != mult:
+                    return None
+                u_exp.extend(exp_frees)
+                u_out.extend(out_frees)
+                width += mult
+            units_n.append(width)
+        if observe:
+            charges.append(charge_list)
+        if want_times:
+            if time_deltas is None or len(time_deltas) != n_instrs:
+                return None
+            times.extend(time_deltas)
+            times_n.append(n_instrs)
+
+    # ---- gather per event
+    cv = CoreVec()
+    per_record = np.array(scalars, dtype=np.int64).T.copy()
+    (bid_ev, cv.d_cyc, cv.exit_count, cv.d_floor, cv.d_fin,
+     cv.entry_count, cv.floor_key) = per_record[:7, ids]
+    if not np.array_equal(bid_ev, pv.ev_bid):
         return None
+    cv.regs_exp, n_live = _ragged(regs, regs_n, ids)
+    def_vals, n_defs = _ragged(defs, defs_n, ids)
+    if not (np.array_equal(n_live, pv.ev_nlive)
+            and np.array_equal(n_defs, np.diff(pv.do_off))):
+        return None
+    cv.regs_out = np.append(def_vals, _NEG)
+    store_vals, _ = _ragged(stores, stores_n, ids)
+    if store_vals.size != pv.n_store_slots:
+        return None
+    cv.stores_out = np.append(store_vals, _NEG)
+    cv.ext_exp = np.zeros(pv.mp_g.size, dtype=np.int64)
+    js, per_event = _ragged(ext_j, ext_n, ids)
+    if js.size:
+        g = np.repeat(pv.ev_mem_start, per_event) + js
+        idx = np.searchsorted(pv.mp_g, g)
+        if int(idx.max()) >= pv.mp_g.size \
+                or not np.array_equal(pv.mp_g[idx], g):
+            return None  # external wait with no recorded producer
+        cv.ext_exp[idx] = _ragged(ext_d, ext_n, ids)[0]
+    cv.up_ev = cv.up_src = cv.up_slot = cv.units_exp = cv.units_out = None
+    if want_units:
+        up_ev, up_src, up_slot, n_slots = _unit_chains(core, pv)
+        if n_slots:
+            cv.units_exp, _ = _ragged(u_exp, units_n, ids)
+            out_vals, _ = _ragged(u_out, units_n, ids)
+            if cv.units_exp.size != n_slots:
+                return None
+            cv.up_ev, cv.up_src, cv.up_slot = up_ev, up_src, up_slot
+            cv.units_out = np.append(out_vals, _NEG)
+    cv.times_flat = (_ragged(times, times_n, ids)[0] if want_times
+                     else None)
+
+    # ---- counters: per-record weights times occurrence counts
+    counts = np.bincount(ids, minlength=len(records))
+    n_instrs, kind_of = per_record[7], per_record[8]
+    instrs = counts * n_instrs
+    hit = kind_of >= 2
+    cv.memo_hits = int(counts[hit].sum())
+    cv.memo_instructions = int(instrs[hit].sum())
+    cv.direct_instructions = int(instrs[~hit].sum())
+    cv.fallbacks = int(counts[kind_of == 1].sum())
+    cv.persisted_hits = int(counts[kind_of == 3].sum())
+    cv.charges = None
+    if observe:
+        # Merged per (class, cause) in first-charge order along the
+        # schedule, as a per-event walk would insert them.
+        uniq, first = np.unique(ids, return_index=True)
+        counts_of = counts.tolist()
+        merged: dict[tuple, int] = {}
+        for r in uniq[np.argsort(first)].tolist():
+            charge_list = charges[r]
+            if charge_list is None:
+                continue
+            c = counts_of[r]
+            for kl, ci, cyc in charge_list:
+                ck = (kl, ci)
+                merged[ck] = merged.get(ck, 0) + cyc * c
+        cv.charges = [(kl, ci, cyc) for (kl, ci), cyc in merged.items()]
     return cv
 
 

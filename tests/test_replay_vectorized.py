@@ -20,6 +20,7 @@ Three guarantees, layered:
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import subprocess
@@ -32,7 +33,11 @@ from repro.benchmarks import suite
 from repro.engine.cache import TraceCache
 from repro.engine.executor import execute
 from repro.engine.plan import plan_sweep
-from repro.machine.presets import resolve
+from repro.machine.presets import (
+    paper_machines,
+    resolve,
+    superscalar_with_class_conflicts,
+)
 from repro.obs.schema import check_replay
 from repro.sim import replay as replay_mod
 from repro.sim.memo import (
@@ -133,8 +138,9 @@ class TestVectorizedEqualsScalar:
         core.run()
         # Corrupt one recorded memo key's issue-count component so
         # verification of the recorded schedule cannot succeed.
-        bid, key, entry, kind = core._resolved[0]
-        core._resolved[0] = (bid, (key[0] + 1,) + key[1:], entry, kind)
+        rid = int(core._rec_ids[0])
+        bid, key, entry, kind = core._records[rid]
+        core._records[rid] = (bid, (key[0] + 1,) + key[1:], entry, kind)
         core._vec = None
         out = core.run()
         assert out.minor_cycles == ref.minor_cycles
@@ -145,6 +151,163 @@ class TestVectorizedEqualsScalar:
         repaired = core.run()
         assert repaired.minor_cycles == ref.minor_cycles
         assert repaired.stats.vectorized_blocks == repaired.stats.blocks
+
+
+def _reference_core_vec(core, pv):
+    """The per-event flatten the gather replaced, kept as its oracle:
+    one Python step per schedule event, records -> arrays."""
+    vec = replay_mod._replay_vec
+    np = vec.np
+    neg = vec._NEG
+    blocks, schedule = core.plan.blocks, core.plan.schedule
+    tables, adopted = core._tables, core._adopted_keys
+    n = pv.n_events
+    cv = vec.CoreVec()
+    names = ("d_cyc", "entry_count", "exit_count", "d_floor", "floor_key",
+             "d_fin")
+    scalars = {name: np.empty(n, dtype=np.int64) for name in names}
+    regs_exp, up_ev, up_src, up_slot, units_exp, units_out = \
+        [], [], [], [], [], []
+    regs_out = np.full(pv.n_reg_slots + 1, neg, dtype=np.int64)
+    stores_out = np.full(pv.n_store_slots + 1, neg, dtype=np.int64)
+    ext_exp = np.zeros(pv.mp_g.size, dtype=np.int64)
+    last_use, unit_ids, merged = {}, {}, {}
+    times = [] if core.want_times else None
+    hits = fallbacks = memo_instr = direct_instr = persisted = 0
+    for p, rid in enumerate(core._rec_ids.tolist()):
+        bid, key, entry, kind = core._records[rid]
+        assert bid == schedule[p]
+        block = blocks[bid]
+        (d_cyc, exit_count, d_floor, r_out, s_out, u_out, d_fin, charges,
+         time_deltas) = entry
+        for name, value in zip(names, (d_cyc, key[0], exit_count, d_floor,
+                                       key[1], d_fin)):
+            scalars[name][p] = value
+        assert len(key[2]) == len(block.live_ins)
+        regs_exp.extend(key[2])
+        for k, (_, dv) in enumerate(r_out):
+            regs_out[pv.do_off[p] + k] = dv
+        for j, dv in s_out:
+            stores_out[pv.so_off[p] + block.store_sel.index(j)] = dv
+        for j, dv in key[5]:
+            ext_exp[np.searchsorted(pv.mp_g, pv.ev_mem_start[p] + j)] = dv
+        if core._has_units:
+            for s, exp, out in zip(core._block_units(bid), key[3], u_out):
+                gi = unit_ids.setdefault(id(s), len(unit_ids))
+                src = last_use.get(gi)
+                slot = len(units_out)
+                for c in range(len(s.free)):
+                    up_ev.append(p)
+                    up_src.append(src[0] if src else 0)
+                    up_slot.append(src[1] + c if src else -1)
+                units_exp.extend(exp)
+                units_out.extend(out)
+                last_use[gi] = (p, slot)
+        for kl, ci, cyc in charges or ():
+            merged[(kl, ci)] = merged.get((kl, ci), 0) + cyc
+        if times is not None:
+            times.extend(time_deltas)
+        if tables[bid] is None:
+            direct_instr += block.n_instrs
+        elif kind:
+            fallbacks += 1
+            direct_instr += block.n_instrs
+        else:
+            hits += 1
+            memo_instr += block.n_instrs
+            persisted += bool(adopted and adopted[bid]
+                              and key in adopted[bid])
+    for name in names:
+        setattr(cv, name, scalars[name])
+    cv.regs_exp = np.asarray(regs_exp, dtype=np.int64)
+    cv.regs_out, cv.stores_out, cv.ext_exp = regs_out, stores_out, ext_exp
+    cv.up_ev = cv.up_src = cv.up_slot = cv.units_exp = cv.units_out = None
+    if up_ev:
+        cv.up_ev, cv.up_src = np.asarray(up_ev), np.asarray(up_src)
+        cv.up_slot = np.asarray(
+            [s if s >= 0 else len(units_out) for s in up_slot])
+        cv.units_exp = np.asarray(units_exp)
+        cv.units_out = np.asarray(units_out + [neg])
+    cv.memo_hits, cv.fallbacks, cv.persisted_hits = hits, fallbacks, persisted
+    cv.memo_instructions, cv.direct_instructions = memo_instr, direct_instr
+    cv.charges = ([(kl, ci, cyc) for (kl, ci), cyc in merged.items()]
+                  if core.observe else None)
+    cv.times_flat = np.asarray(times) if times is not None else None
+    return cv
+
+
+def _assert_gather_matches_reference(core):
+    pv = core._plan_vec()
+    got = replay_mod._replay_vec.build_core_vec(core, pv)
+    want = _reference_core_vec(core, pv)
+    assert got is not None
+    for name in type(want).__slots__:
+        mine, ref = getattr(got, name), getattr(want, name)
+        if ref is None or not hasattr(ref, "shape"):
+            assert mine == ref, name
+        else:
+            assert replay_mod._replay_vec.np.array_equal(mine, ref), name
+
+
+@requires_numpy
+class TestGatherEqualsReference:
+    """build_core_vec's NumPy gather over record ids builds exactly the
+    arrays a per-event walk of the records does."""
+
+    @pytest.mark.parametrize("name", [b.name for b in
+                                      suite.all_benchmarks()])
+    def test_real_benchmarks_on_the_paper_grid(self, name):
+        """The seven paper machines, plus one with unit conflicts."""
+        bench = suite.get(name)
+        trace = suite.run_benchmark(bench, suite.default_options(bench)).trace
+        for config in paper_machines() + [
+                superscalar_with_class_conflicts(4)]:
+            core = ReplayCore(trace, config)
+            core.run()
+            _assert_gather_matches_reference(core)
+
+    @settings(
+        max_examples=10, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow,
+                               HealthCheck.data_too_large],
+    )
+    @given(body=_block(2, 0))
+    def test_random_programs_in_every_mode(self, body):
+        trace = _trace_for(_program(body))
+        for config in _edge_machines():
+            for mode in ({}, {"observe": True}, {"want_times": True}):
+                core = ReplayCore(trace, config, **mode)
+                core.run()
+                if core.plan.vec.n_events:
+                    _assert_gather_matches_reference(core)
+
+    def test_adopted_records_count_persisted_hits(self):
+        trace = _whet_trace()
+        config = resolve("multititan")
+        first = ReplayCore(trace, config, observe=True)
+        first.run()
+        core = ReplayCore(trace, config, observe=True)
+        assert core.adopt_memo(pickle.loads(pickle.dumps(
+            first.export_memo())))
+        _assert_gather_matches_reference(core)
+
+    def test_plan_arrays_round_trip(self):
+        vec = replay_mod._replay_vec
+        trace = _whet_trace()
+        built = ReplayCore(trace, resolve("base"))._plan_vec()
+        payload = pickle.loads(pickle.dumps(vec.plan_vec_payload(built)))
+        fresh = _whet_trace()
+        fresh._plan = None
+        core = ReplayCore(fresh, resolve("base"))
+        loaded = core._plan_vec(payload)
+        assert loaded.loaded and not built.loaded
+        for name in vec.PlanVec.__slots__:
+            mine, ref = getattr(loaded, name), getattr(built, name)
+            if hasattr(ref, "shape"):
+                assert ref.dtype == mine.dtype, name
+                assert vec.np.array_equal(mine, ref), name
+            elif name != "loaded":
+                assert mine == ref, name
 
 
 class TestMemoPersistence:
@@ -176,35 +339,6 @@ class TestMemoPersistence:
         if replay_mod.BACKEND == "numpy":
             assert out.stats.vectorized_blocks == out.stats.blocks
 
-    def test_corrupt_entry_is_dropped_and_rewritten(self, tmp_path):
-        trace = _whet_trace()
-        config = resolve("base")
-        ref = simulate(trace, config, memoize=False)
-        prime = MemoStore(str(tmp_path / "memo"))
-        replay_with_memo(prime, trace, config)
-        key = memo_key(trace, config)
-        path = prime.path_for(key)
-        assert os.path.exists(path)
-        with open(path, "wb") as handle:
-            handle.write(b"\x00not a pickle")
-
-        clear_registry()
-        store = MemoStore(str(tmp_path / "memo"))
-        out = replay_with_memo(store, trace, config)
-        assert out.minor_cycles == ref.minor_cycles
-        assert store.stats.corrupt == 1
-        assert store.stats.hits == 0
-        assert store.stats.stores == 1      # rewritten from this run
-        assert store.stats.gets == (store.stats.hits
-                                    + store.stats.misses
-                                    + store.stats.corrupt)
-        # The rewritten entry is healthy again.
-        clear_registry()
-        fresh = MemoStore(str(tmp_path / "memo"))
-        again = replay_with_memo(fresh, trace, config)
-        assert again.minor_cycles == ref.minor_cycles
-        assert fresh.stats.hits == 1
-
     def test_stale_payload_is_rejected_not_trusted(self, tmp_path):
         """A structurally valid file whose payload fails deep
         validation (here: recorded for the wrong replay mode) is
@@ -215,12 +349,9 @@ class TestMemoPersistence:
         prime = MemoStore(str(tmp_path / "memo"))
         replay_with_memo(prime, trace, config)
         key = memo_key(trace, config)
-        path = prime.path_for(key)
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
+        payload = prime.load(key)
         payload["mode"] = (not payload["mode"][0], payload["mode"][1])
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle)
+        prime.store(key, payload)
 
         clear_registry()
         store = MemoStore(str(tmp_path / "memo"))
@@ -230,18 +361,46 @@ class TestMemoPersistence:
         assert store.stats.hits == 0
         assert store.stats.stores == 1
 
-    def test_wrong_format_tag_is_corrupt(self, tmp_path):
+    def test_fresh_process_replay_matches_in_process_adoption(
+            self, tmp_path):
+        """A new process (its own hash seed, no plan, no registry)
+        replaying from a primed store reports exactly what an in-process
+        replay adopting the same entries does — every ReplayStats field,
+        persisted hits included — and touches nothing."""
         trace = _whet_trace()
-        config = resolve("base")
-        prime = MemoStore(str(tmp_path / "memo"))
-        replay_with_memo(prime, trace, config)
-        path = prime.path_for(memo_key(trace, config))
-        with open(path, "wb") as handle:
-            pickle.dump({"format": "replay-memo-v0"}, handle)
+        specs = ["base", "superscalar:4", "multititan"]
+        root = str(tmp_path / "memo")
+        trace._plan = None
+        for spec in specs:
+            replay_with_memo(MemoStore(root), trace, resolve(spec),
+                             observe=True)
         clear_registry()
-        store = MemoStore(str(tmp_path / "memo"))
-        replay_with_memo(store, trace, config)
-        assert store.stats.corrupt == 1
+        trace._plan = None
+        local = {}
+        for spec in specs:
+            store = MemoStore(root)
+            out = replay_with_memo(store, trace, resolve(spec),
+                                   observe=True)
+            local[spec] = [out.minor_cycles, out.stalls.as_dict(),
+                           out.stats.as_dict(), store.stats.as_dict()]
+        env = dict(os.environ)
+        env.pop("PYTHONHASHSEED", None)
+        env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH_SNIPPET, root, *specs],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        fresh = json.loads(proc.stdout.splitlines()[-1])
+        for spec in specs:
+            assert fresh[spec] == json.loads(json.dumps(local[spec])), spec
+            stats, store = fresh[spec][2], fresh[spec][3]
+            assert stats["memo_misses"] == 0
+            assert stats["memo_persisted_hits"] == stats["memo_hits"] > 0
+            if replay_mod.BACKEND == "numpy":
+                assert stats["vectorized_blocks"] == stats["blocks"]
+            assert store["misses"] == store["corrupt"] == 0
+            assert store["stores"] == 0
 
     def test_null_store_runs_plain(self):
         trace = _whet_trace()
@@ -269,6 +428,28 @@ class TestMemoPersistence:
             memo_key(trace, resolve("superscalar:4")),
         }
         assert len(keys) == 4
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+_FRESH_SNIPPET = """
+import json, sys
+from repro.benchmarks import suite
+from repro.machine.presets import resolve
+from repro.sim.memo import MemoStore, replay_with_memo
+
+root, specs = sys.argv[1], sys.argv[2:]
+bench = suite.get("whet")
+trace = suite.run_benchmark(bench, suite.default_options(bench)).trace
+out = {}
+for spec in specs:
+    store = MemoStore(root)
+    got = replay_with_memo(store, trace, resolve(spec), observe=True)
+    out[spec] = [got.minor_cycles, got.stalls.as_dict(),
+                 got.stats.as_dict(), store.stats.as_dict()]
+print(json.dumps(out))
+"""
 
 
 class TestEngineIntegration:
@@ -358,9 +539,7 @@ class TestScalarBackendFallback:
 
     def test_subprocess_scalar_backend_matches(self):
         env = dict(os.environ, REPRO_NO_NUMPY="1")
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [sys.executable, "-c", _SCALAR_SNIPPET],
             capture_output=True, text=True, env=env, check=False,

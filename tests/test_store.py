@@ -11,6 +11,7 @@ import os
 import pickle
 import threading
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,12 +28,22 @@ from repro.engine.faults import FaultPlan, truncate_entry
 from repro.flow.state import STATE_FORMAT, FlowStateStore, state_dir
 from repro.isa import build
 from repro.isa.registers import virtual
-from repro.machine import base_machine, ideal_superscalar
+from repro.benchmarks import suite
+from repro.machine import base_machine, ideal_superscalar, multititan
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.schema import check_metrics
 from repro.opt.options import CompilerOptions
-from repro.sim.memo import NULL_MEMO_STORE, MemoStore, memo_key
-from repro.sim.replay import BACKEND, ReplayCore
+from repro.sim.memo import (
+    NULL_MEMO_STORE,
+    MemoStore,
+    clear_registry,
+    memo_key,
+    plan_key,
+    replay_with_memo,
+    seal,
+)
+from repro.sim.replay import BACKEND, ReplayCore, _id_array, plan_for
+from repro.sim.timing import simulate
 from repro.sim.trace import Trace
 from repro.store import DEBRIS_MAX_AGE, reset_debris_sweeps
 
@@ -66,6 +77,17 @@ def _same_run(loaded, run) -> bool:
             and loaded.trace.ops == run.trace.ops)
 
 
+def _same_memo(loaded, payload) -> bool:
+    """Equal memo payloads; the flat record-id arrays compare by type,
+    dtype and values."""
+    ids, want = loaded["record_ids"], payload["record_ids"]
+    rest = {k: v for k, v in loaded.items() if k != "record_ids"}
+    return (rest == {k: v for k, v in payload.items() if k != "record_ids"}
+            and type(ids) is type(want)
+            and getattr(ids, "dtype", None) == getattr(want, "dtype", None)
+            and (ids is None or list(ids) == list(want)))
+
+
 def _flow_entry(value) -> dict:
     return {"format": STATE_FORMAT, "node": "n", "kind": "t",
             "value": value}
@@ -79,8 +101,7 @@ NAMESPACES = {
     ),
     "memo": Namespace(
         "memo", "cache.memo_", MemoStore,
-        lambda s, k, v: s.store(k, v), lambda v: v,
-        lambda loaded, v: loaded == v,
+        lambda s, k, v: s.store(k, v), seal, _same_memo,
         {"format": "replay-memo-v0"},
     ),
     "flow": Namespace(
@@ -283,6 +304,8 @@ def test_janitor_counts_are_disjoint_across_nested_roots(tmp_path):
                 "flow/state/01/f3.pkl.tmp"):
         _plant(tmp_path, rel, DEBRIS_MAX_AGE * 2)
     assert TraceCache(root).stats.debris == 1
+    # The trace janitor left the nested namespaces' debris to them.
+    assert len(_tmp_files(tmp_path)) == 5
     assert MemoStore(os.path.join(root, "memo")).stats.debris == 2
     assert FlowStateStore(state_dir(root)).stats.debris == 3
     assert _tmp_files(tmp_path) == []
@@ -315,6 +338,21 @@ def test_corrupt_cache_fault_tears_through_the_helper(tmp_path, run_result):
         cache, KEY, "main", attempt=1)
     assert cache.load(KEY) is None
     assert cache.stats.corrupt == 1
+    # The corrupt entry is dropped, so the next store repopulates.
+    assert not os.path.exists(cache.path_for(KEY))
+    cache.store(KEY, run_result)
+    assert _same_run(cache.load(KEY), run_result)
+
+
+def test_janitor_debris_flows_into_metrics(ns, tmp_path):
+    reset_debris_sweeps()
+    _plant(tmp_path, "ab/dead.pkl.tmp", DEBRIS_MAX_AGE * 2)
+    store = ns.open(str(tmp_path))
+    metrics = MetricsRegistry()
+    store.stats.record_to(metrics, ns.prefix)
+    assert metrics.counters == {ns.prefix + "debris": 1}
+    # Janitor work is outside the conservation law.
+    assert store.stats.gets == 0
 
 
 def test_torn_write_fault_tears_through_the_helper(tmp_path):
@@ -345,12 +383,12 @@ def test_trace_key_golden():
 #: memo keys fold in the replay backend, so each backend has its own pin
 MEMO_KEYS = {
     "numpy": (
-        "bb650c7f5264c9c813a9ea056be9f71b52d4417032258fe34017dfc6bf91775f",
-        "d604e902801c32ffb707f014dfb780e3462c775f5033296eb7f6a2565025ed02",
+        "2e57730fad437a25684d454f1e39f8722499c782cf3ef4e006314927e9a30ab5",
+        "9273c5130f87f31f0ce189aed02a69c737645d4b0a760e5d2dab8814e7696e4c",
     ),
     "scalar": (
-        "21f1dfad174d515b2de24e9fa869ab26b47503b3faabfb7abfcf84c8b65ec625",
-        "a4da8229a121cc9539d11456bd177af62a97fcbd891e8705f143e788bd90f377",
+        "a66b40e16119243930e1082098877f9b6056f905ece40b003e22e4778dc8f2bc",
+        "7fcb8f45ebdfa3ea2efb58ae487f36c839f25c04a1ffb483afd1eb7cad324e76",
     ),
 }
 
@@ -397,3 +435,194 @@ def test_payload_bytes_match_the_parent_layout(ns, value, run_result,
     assert written == pickle.dumps(ns.entry(value),
                                    protocol=pickle.HIGHEST_PROTOCOL)
 
+
+
+# ----------------------------------------------------------------------
+# Bad memo payloads: each ends as a corrupt drop (then a rewrite) or a
+# scalar re-resolve, and the replay result is never wrong.
+
+#: Per-trace plan entries share the memo namespace (NumPy backend only):
+#: the replays below hit one alongside the memo entry.
+PLAN_HITS = 1 if BACKEND == "numpy" else 0
+
+
+def _whet_trace() -> Trace:
+    bench = suite.get("whet")
+    return suite.run_benchmark(bench, suite.default_options(bench)).trace
+
+
+def _records_and_ids(payload, n_events: int):
+    """The payload's records and ids as a list; the scalar backend never
+    resolves, so it gets one placeholder record to point ids at."""
+    if payload["records"] is None:
+        return [("placeholder",)], [0] * n_events
+    return payload["records"], payload["record_ids"].tolist()
+
+
+def _wide_ids(ids: list):
+    """A record-id array of the wrong dtype for the active backend."""
+    if BACKEND == "numpy":
+        import numpy
+
+        return numpy.asarray(ids, dtype=numpy.int64)
+    return array("q", ids)
+
+
+def _first_entry(payload):
+    table = next(t for t in payload["tables"] if t)
+    return table, next(iter(table))
+
+
+def _bump(payload, field: int) -> None:
+    """Add one to a field of the first table entry (0: d_cyc, 6: the
+    completion delta d_fin)."""
+    table, key = _first_entry(payload)
+    entry = list(table[key])
+    entry[field] += 1
+    table[key] = tuple(entry)
+
+
+def _resealed(change):
+    """A well-formed entry (valid digest) whose payload is wrong."""
+    def damage(store, key, n_events):
+        payload = store.load(key)
+        change(payload, n_events)
+        store.store(key, payload)
+    return damage
+
+
+def _rotted(change):
+    """The payload changed on disk under its old digest."""
+    def damage(store, key, n_events):
+        path = store.path_for(key)
+        with open(path, "rb") as handle:
+            entry = pickle.load(handle)
+        payload = pickle.loads(entry["body"])
+        change(payload, n_events)
+        entry["body"] = pickle.dumps(payload,
+                                     protocol=pickle.HIGHEST_PROTOCOL)
+        with open(path, "wb") as handle:
+            pickle.dump(entry, handle)
+    return damage
+
+
+def _write(raw: bytes):
+    def damage(store, key, n_events):
+        with open(store.path_for(key), "wb") as handle:
+            handle.write(raw)
+    return damage
+
+
+def _set_ids(make):
+    def change(payload, n_events):
+        records, ids = _records_and_ids(payload, n_events)
+        payload["records"] = records
+        payload["record_ids"] = make(records, ids)
+    return change
+
+
+DAMAGE = {
+    "unreadable": _write(b"\x00not a pickle"),
+    "truncated": lambda store, key, n: truncate_entry(store, key),
+    "wrong-tag": _write(pickle.dumps({"format": "replay-memo-v0"})),
+    "wrong-id-dtype": _resealed(_set_ids(lambda r, ids: _wide_ids(ids))),
+    "wrong-id-length": _resealed(_set_ids(
+        lambda r, ids: _id_array(ids[:-1]))),
+    "id-out-of-range": _resealed(_set_ids(
+        lambda r, ids: _id_array([len(r)] + ids[1:]))),
+    "ids-without-records": _resealed(_set_ids(lambda r, ids: None)),
+    "tampered-d_cyc": _rotted(lambda p, n: _bump(p, 0)),
+    "tampered-d_fin": _rotted(lambda p, n: _bump(p, 6)),
+}
+
+
+@pytest.fixture
+def primed_memo(tmp_path):
+    """A memo store primed with whet on a unit-conflict machine, plus the
+    per-instruction reference result."""
+    trace = _whet_trace()
+    config = multititan()
+    ref = simulate(trace, config, observe=True, memoize=False)
+    root = str(tmp_path / "memo")
+    _replay(root, trace, config)
+    return trace, config, ref, root, memo_key(trace, config, observe=True)
+
+
+def _replay(root, trace, config):
+    """A replay as a fresh process runs it: no registry, no plan."""
+    clear_registry()
+    trace._plan = None
+    store = MemoStore(root)
+    out = replay_with_memo(store, trace, config, observe=True)
+    stats = store.stats
+    assert stats.gets == stats.hits + stats.misses + stats.corrupt
+    return out, stats
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_bad_memo_entry_is_dropped_and_rewritten(primed_memo, damage):
+    trace, config, ref, root, key = primed_memo
+    DAMAGE[damage](MemoStore(root), key, len(plan_for(trace).schedule))
+    out, stats = _replay(root, trace, config)
+    assert (out.minor_cycles, out.stalls) == (ref.minor_cycles, ref.stalls)
+    assert (stats.hits, stats.corrupt) == (PLAN_HITS, 1)
+    assert stats.stores == 1            # rewritten from this run
+    assert out.stats.memo_persisted_hits == 0
+    # The rewritten entry is healthy again.
+    again, fresh = _replay(root, trace, config)
+    assert (again.minor_cycles, again.stalls) == (ref.minor_cycles,
+                                                  ref.stalls)
+    assert (fresh.hits, fresh.misses, fresh.corrupt, fresh.stores) == (
+        PLAN_HITS + 1, 0, 0, 0)
+    assert again.stats.memo_misses == 0
+    assert again.stats.memo_persisted_hits > 0
+
+
+@pytest.mark.skipif(BACKEND != "numpy",
+                    reason="only the NumPy backend replays records")
+def test_unverifiable_records_cost_a_scalar_re_resolve(primed_memo):
+    """A well-formed payload whose recorded key no longer matches its
+    dependence chain is adopted, fails the kernel's verification, and is
+    re-resolved on the scalar path — then rewritten."""
+    trace, config, ref, root, key = primed_memo
+
+    def change(payload, n_events):
+        records, ids = payload["records"], payload["record_ids"]
+        bid, rkey, entry, kind = records[ids[0]]
+        records[ids[0]] = (bid, (rkey[0] + 1,) + rkey[1:], entry, kind)
+
+    _resealed(change)(MemoStore(root), key, 0)
+    out, stats = _replay(root, trace, config)
+    assert (out.minor_cycles, out.stalls) == (ref.minor_cycles, ref.stalls)
+    assert out.stats.scalar_fallback_blocks == out.stats.blocks
+    assert (stats.hits, stats.corrupt, stats.stores) == (2, 0, 1)
+    again, fresh = _replay(root, trace, config)
+    assert again.stats.vectorized_blocks == again.stats.blocks
+    assert (fresh.hits, fresh.stores) == (2, 0)
+
+
+@pytest.mark.skipif(BACKEND != "numpy",
+                    reason="plan entries exist only under NumPy")
+@pytest.mark.parametrize("damage", ["truncated", "tampered-alias-ids",
+                                    "wrong-length"])
+def test_bad_plan_entry_is_dropped_and_rewritten(primed_memo, damage):
+    trace, config, ref, root, key = primed_memo
+    store = MemoStore(root)
+    pkey = plan_key(trace)
+
+    def alias(payload, n):
+        payload["arrays"]["alias_ids"][0] += 1
+
+    def length(payload, n):
+        payload["arrays"]["rp_src"] = payload["arrays"]["rp_src"][:-1]
+
+    {"truncated": lambda: truncate_entry(store, pkey),
+     "tampered-alias-ids": lambda: _rotted(alias)(store, pkey, 0),
+     "wrong-length": lambda: _resealed(length)(store, pkey, 0),
+     }[damage]()
+    out, stats = _replay(root, trace, config)
+    assert (out.minor_cycles, out.stalls) == (ref.minor_cycles, ref.stalls)
+    assert (stats.hits, stats.corrupt, stats.stores) == (1, 1, 1)
+    assert out.stats.vectorized_blocks == out.stats.blocks
+    _, fresh = _replay(root, trace, config)
+    assert (fresh.hits, fresh.corrupt, fresh.stores) == (2, 0, 0)
