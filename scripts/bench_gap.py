@@ -112,19 +112,18 @@ def main(argv=None) -> int:
                               schedule_for_target=True, scheduler=sched)
             if args.flow:
                 from repro.engine.cache import DEFAULT_CACHE_DIR, open_cache
-                from repro.flow import FlowContext
-                from repro.flow.flows import run_sweep_flow
+                from repro.flow import run_sweep_flow
 
-                flow_ctx = FlowContext(
+                result, _ = run_sweep_flow(
+                    plan,
                     cache=open_cache(args.cache_dir or DEFAULT_CACHE_DIR,
                                      False),
                     flow_spec={"driver": "gap", "scheduler": sched,
                                "benchmarks": names,
                                "machines": args.machines},
+                    workers=args.workers,
+                    recorder=recorder,
                 )
-                result = run_sweep_flow(plan, flow=flow_ctx,
-                                        workers=args.workers,
-                                        recorder=recorder)
             else:
                 result = execute(plan, workers=args.workers,
                                  recorder=recorder)

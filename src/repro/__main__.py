@@ -741,34 +741,30 @@ def _run_suite(args, bench_names, machines, *, profile, use_flow,
             observe = profile or recorder.enabled
         plan = plan_sweep(bench_names, machines, observe=observe)
         tracer = _engine_tracer(args)
-        flow_ctx = None
+        flow_result = None
         if use_flow:
-            from .flow import FlowContext, FlowError
-            from .flow.flows import run_sweep_flow
+            from .flow import FlowError, run_sweep_flow
 
             cache = _engine_cache(args)
             if not cache.enabled:
                 print("suite: --flow requires the trace cache "
                       "(drop --no-cache)", file=sys.stderr)
                 return 2
-            flow_ctx = FlowContext(
-                cache=cache,
-                run_id=run_id,
-                flow_spec={
-                    "driver": "suite",
-                    "benchmarks": list(bench_names),
-                    "machines": [c.name for c in machines],
-                    "observe": bool(observe),
-                    "profile": bool(profile),
-                    "scheduler": getattr(args, "scheduler", None),
-                },
-                policy=_engine_policy(args),
-                faults=_engine_faults(args),
-            )
+            flow_spec = {
+                "driver": "suite",
+                "benchmarks": list(bench_names),
+                "machines": [c.name for c in machines],
+                "observe": bool(observe),
+                "profile": bool(profile),
+                "scheduler": getattr(args, "scheduler", None),
+            }
             try:
-                result = run_sweep_flow(
-                    plan, flow=flow_ctx,
+                result, flow_result = run_sweep_flow(
+                    plan, cache=cache,
                     workers=getattr(args, "workers", 1),
+                    run_id=run_id, flow_spec=flow_spec,
+                    policy=_engine_policy(args),
+                    faults=_engine_faults(args),
                     recorder=recorder, tracer=tracer,
                 )
             except FlowError as exc:
@@ -850,8 +846,8 @@ def _run_suite(args, bench_names, machines, *, profile, use_flow,
                     ))
         assert result.report is not None
         print(result.report.summary())
-        if flow_ctx is not None and flow_ctx.result is not None:
-            print(flow_ctx.result.summary())
+        if flow_result is not None:
+            print(flow_result.summary())
         if recorder.enabled:
             recorder.emit("run_end", seconds=result.report.seconds,
                           counters=dict(recorder.counters))

@@ -608,71 +608,20 @@ def _prime_jobs() -> list[tuple]:
 
 def prime_all_exhibits(
     workers: int = 1, cache=None, recorder: Recorder | None = None,
-    flow=None,
 ):
     """Precompute every exhibit compile unit through the engine.
 
     Returns the :class:`~repro.engine.executor.EngineReport`; the runs
     land in the suite memo (and the on-disk cache, when given), so a
     following :func:`run_all` recompiles nothing.
-
-    ``flow`` (a :class:`~repro.flow.flows.FlowContext`) pushes the
-    compiles through the checkpointed workflow DAG instead of
-    :func:`~repro.engine.executor.prime_runs`: each compile unit is a
-    journaled, resumable node that lands in the disk cache, and the
-    parent then seeds the in-process memo from the warm cache.
     """
     from ..engine.executor import prime_runs
 
-    jobs = _prime_jobs()
-    if flow is not None:
-        report = _prime_flow(jobs, workers=workers, flow=flow)
-    else:
-        report = prime_runs(jobs, workers=workers, cache=cache)
+    report = prime_runs(_prime_jobs(), workers=workers, cache=cache)
     rec = active_recorder(recorder)
     if rec.enabled:
         rec.emit("engine", **report.as_dict())
     return report
-
-
-def _prime_flow(jobs: list[tuple], *, workers: int, flow):
-    """Prime via flow nodes, then memo-seed from the warm disk cache."""
-    from ..engine.executor import EngineReport, _prime_one
-    from ..flow.engine import run_flow
-    from ..flow.flows import PRIME_RUNNERS, _require_cache, prime_flow
-
-    cache = _require_cache(flow)
-    dag = prime_flow(jobs, cache.root)
-    start = time.perf_counter()
-    fr = run_flow(
-        dag, PRIME_RUNNERS,
-        root=cache.root,
-        flow_kind="prime",
-        flow_spec=flow.flow_spec,
-        run_id=flow.run_id,
-        workers=workers,
-        policy=flow.policy,
-        faults=flow.faults,
-        kill_action=flow.kill_action,
-    )
-    flow.result = fr
-    # The flow compiled into the disk cache (possibly in workers);
-    # pull every job through it once to warm the in-process run memo
-    # the exhibit drivers consult.
-    hits = misses = 0
-    for benchmark, options in jobs:
-        _, cached = _prime_one(benchmark, options, cache)
-        hits, misses = hits + cached, misses + (not cached)
-    seconds = time.perf_counter() - start
-    return EngineReport(
-        workers=workers,
-        cells=0,
-        groups=len(dag),
-        cache_hits=hits,
-        cache_misses=misses,
-        seconds=seconds,
-        compile_seconds=seconds,
-    )
 
 
 ALL_EXHIBITS = {

@@ -66,7 +66,6 @@ def sweep(
     progress=None,
     sample_resources: bool = False,
     scheduler: str | None = None,
-    flow=None,
 ) -> list[SweepRow]:
     """Measure every benchmark on every machine.
 
@@ -103,12 +102,6 @@ def sweep(
     :func:`repro.api.schedulers`.  The choice participates in each
     cell's option fingerprint, so per-backend results never share cache
     entries.
-
-    ``flow`` (a :class:`~repro.flow.flows.FlowContext`) routes the
-    sweep through the checkpointed workflow DAG instead of the classic
-    executor: every compile and cell becomes a journaled, resumable
-    node (see :mod:`repro.flow`), and the returned rows are
-    bit-identical to the classic path.  Requires an enabled cache.
     """
     rec = active_recorder(recorder)
     tr = active_tracer(tracer)
@@ -122,16 +115,10 @@ def sweep(
             observe=observe,
             scheduler=scheduler,
         )
-    if flow is not None:
-        from ..flow.flows import run_sweep_flow
-
-        result = run_sweep_flow(plan, flow=flow, workers=workers,
-                                recorder=rec, tracer=tracer)
-    else:
-        result = execute(plan, workers=workers, cache=cache, recorder=rec,
-                         policy=policy, faults=faults, tracer=tracer,
-                         metrics=metrics, progress=progress,
-                         sample_resources=sample_resources)
+    result = execute(plan, workers=workers, cache=cache, recorder=rec,
+                     policy=policy, faults=faults, tracer=tracer,
+                     metrics=metrics, progress=progress,
+                     sample_resources=sample_resources)
     rows: list[SweepRow] = []
     for cell in result.cells:
         rows.append(SweepRow(

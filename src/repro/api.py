@@ -300,13 +300,12 @@ def flow_sweep(plan: Plan, *, cache_dir: str | None = None,
     uninterrupted run.  Requires a usable cache directory (the default
     is fine); see :mod:`repro.flow`.
     """
-    from .flow.flows import FlowContext, run_sweep_flow
+    from .flow.flows import run_sweep_flow
 
-    cache = open_cache(cache_dir, False)
-    ctx = FlowContext(cache=cache, run_id=run_id, policy=policy,
-                      faults=faults)
-    result = run_sweep_flow(plan, flow=ctx, workers=workers,
-                            recorder=recorder)
+    result, _ = run_sweep_flow(plan, cache=open_cache(cache_dir, False),
+                               run_id=run_id, workers=workers,
+                               policy=policy, faults=faults,
+                               recorder=recorder)
     rows = tuple(
         SweepRow(
             benchmark=c.benchmark,

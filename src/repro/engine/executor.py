@@ -49,7 +49,6 @@ from .faults import NO_FAULTS, FaultPlan
 from .plan import Plan
 from .resilience import (
     NO_LIMITS,
-    GroupOutcome,
     ResourceLimits,
     RetryPolicy,
     SupervisionStats,
@@ -212,6 +211,57 @@ class EngineResult:
         return [c for c in self.cells if c.status == "failed"]
 
 
+def acquire_run(
+    benchmark: str,
+    options: CompilerOptions,
+    cache: TraceCache,
+    *,
+    faults: FaultPlan = NO_FAULTS,
+    attempt: int = 1,
+    limits: ResourceLimits = NO_LIMITS,
+    tracer: Tracer = NULL_TRACER,
+    metrics: MetricsRegistry = NULL_METRICS,
+):
+    """Get one compile unit's run; returns ``(run, cached, checksum_ok)``.
+
+    The in-process memo comes first (free), then the on-disk cache,
+    then a compile whose run is stored back.  ``cached`` is True when
+    no compile ran.  ``limits`` bounds the compile's instruction budget
+    and checks RSS afterwards; ``faults``/``attempt`` may corrupt the
+    freshly stored entry.
+    """
+    bench = suite.get(benchmark)
+    result = suite.cached_run(bench, options)
+    key = None
+    try:
+        if result is None and cache.enabled:
+            key = trace_key(bench.source(), options)
+            with tracer.span("cache.get", cat="cache", benchmark=benchmark):
+                result = cache.load(key)
+            if result is not None:
+                # Share the cached run with in-process callers
+                # (exhibits, etc.).
+                suite.seed_run(bench, options, result)
+        cached = result is not None
+        if result is None:
+            with tracer.span("compile.run", cat="compile",
+                             benchmark=benchmark):
+                result = suite.run_benchmark(
+                    bench, options, max_instructions=limits.max_instructions,
+                )
+            if key is not None:
+                with tracer.span("cache.put", cat="cache",
+                                 benchmark=benchmark):
+                    cache.store(key, result)
+                if faults:
+                    faults.maybe_corrupt_cache(cache, key, benchmark, attempt)
+    finally:
+        cache.stats.record_to(metrics, "cache.")
+    limits.check_rss()
+    checksum_ok = abs(result.value - bench.reference()) <= bench.fp_tolerance
+    return result, cached, checksum_ok
+
+
 def _run_group(
     benchmark: str,
     options: CompilerOptions,
@@ -237,7 +287,6 @@ def _run_group(
     spans and the cache/replay/timing metrics; both default to the
     zero-overhead null sinks.
     """
-    bench = suite.get(benchmark)
     if faults:
         faults.fire_group_faults(
             benchmark, [m.name for _, m, _ in machine_cells],
@@ -246,42 +295,13 @@ def _run_group(
     with tracer.span("group.run", cat="engine", benchmark=benchmark,
                      cells=len(machine_cells), attempt=attempt):
         start = time.perf_counter()
-        # In-process memo first (free), then the on-disk cache, then
-        # compile.
-        result = suite.cached_run(bench, options)
-        try:
-            if result is None and cache.enabled:
-                with tracer.span("cache.get", cat="cache",
-                                 benchmark=benchmark):
-                    result = cache.load(trace_key(bench.source(), options))
-                if result is not None:
-                    # Share the cached run with in-process callers
-                    # (exhibits, etc.).
-                    suite.seed_run(bench, options, result)
-            cached = result is not None
-            if result is None:
-                with tracer.span("compile.run", cat="compile",
-                                 benchmark=benchmark):
-                    result = suite.run_benchmark(
-                        bench, options,
-                        max_instructions=limits.max_instructions,
-                    )
-                if cache.enabled:
-                    key = trace_key(bench.source(), options)
-                    with tracer.span("cache.put", cat="cache",
-                                     benchmark=benchmark):
-                        cache.store(key, result)
-                    if faults:
-                        faults.maybe_corrupt_cache(cache, key, benchmark,
-                                                   attempt)
-        finally:
-            cache.stats.record_to(metrics, "cache.")
-        limits.check_rss()
+        result, cached, checksum_ok = acquire_run(
+            benchmark, options, cache, faults=faults, attempt=attempt,
+            limits=limits, tracer=tracer, metrics=metrics,
+        )
         compile_seconds = time.perf_counter() - start
         if not cached:
             metrics.observe("compile.seconds", compile_seconds)
-        checksum_ok = (abs(result.value - bench.reference())
-                       <= bench.fp_tolerance)
 
         # Persistent replay-memo store inside the trace cache's
         # directory: warm-starts every cell's replay from previously
@@ -334,12 +354,10 @@ def _run_group_task(payload: tuple):
     existing result round-trip is the only IPC.  With ``sample`` set a
     :class:`~repro.obs.resource.ResourceSampler` additionally records
     this worker's RSS/CPU gauges for the duration of the group and its
-    summary rides home on the same element.  (Older 9-tuple payloads
-    without the flag are accepted for compatibility.)
+    summary rides home on the same element.
     """
     (benchmark, options, machine_cells, observe,
-     cache_root, attempt, faults, limits, traced) = payload[:9]
-    sample = payload[9] if len(payload) > 9 else False
+     cache_root, attempt, faults, limits, traced, sample) = payload
     cache = TraceCache(cache_root) if cache_root else NULL_TRACE_CACHE
     if not traced:
         return _run_group(
@@ -365,29 +383,11 @@ def _run_group_task(payload: tuple):
     return results, cached, obs
 
 
-def _prime_one(
-    benchmark: str, options: CompilerOptions, cache: TraceCache
-):
-    """Compile/run one benchmark through the cache; returns (run, hit?)."""
-    bench = suite.get(benchmark)
-    result = suite.cached_run(bench, options)
-    if result is None and cache.enabled:
-        result = cache.load(trace_key(bench.source(), options))
-        if result is not None:
-            suite.seed_run(bench, options, result)
-    cached = result is not None
-    if result is None:
-        result = suite.run_benchmark(bench, options)
-        if cache.enabled:
-            cache.store(trace_key(bench.source(), options), result)
-    return result, cached
-
-
 def _prime_task(payload: tuple):
     """Pool entry point for :func:`prime_runs`."""
     index, benchmark, options, cache_root = payload
     cache = TraceCache(cache_root) if cache_root else NULL_TRACE_CACHE
-    result, cached = _prime_one(benchmark, options, cache)
+    result, cached, _ = acquire_run(benchmark, options, cache)
     return index, result, cached
 
 
@@ -420,7 +420,7 @@ def prime_runs(
 
     if workers == 1 or len(work) <= 1:
         for benchmark, options in work:
-            _, cached = _prime_one(benchmark, options, disk_cache)
+            _, cached, _ = acquire_run(benchmark, options, disk_cache)
             hits, misses = hits + cached, misses + (not cached)
     else:
         cache_root = disk_cache.root if disk_cache.enabled else ""
@@ -444,35 +444,113 @@ def prime_runs(
     )
 
 
-def _failed_group_cells(
-    plan: Plan, indices: list[int], outcome: GroupOutcome,
-) -> list[tuple[int, CellResult]]:
-    """Placeholder cells for a group that exhausted the whole ladder."""
-    error = outcome.error.as_dict() if outcome.error is not None else None
-    history = tuple(r.as_dict() for r in outcome.history)
-    out = []
-    for index in indices:
-        cell = plan.cells[index]
-        out.append((index, CellResult(
-            benchmark=cell.benchmark,
-            options_label=cell.options_label,
-            machine=cell.machine.name,
-            instructions=0,
-            checksum_ok=False,
-            minor_cycles=0,
-            base_cycles=0.0,
-            parallelism=0.0,
-            stalls=None,
-            seconds=0.0,
-            compile_seconds=0.0,
-            compile_cached=False,
-            replay=None,
-            status="failed",
-            attempts=outcome.attempts,
-            error=error,
-            history=history,
-        )))
-    return out
+def failed_cell(
+    benchmark: str, machine: str, options_label: str, *,
+    attempts: int, error: dict | None, history: tuple = (),
+) -> CellResult:
+    """Placeholder for a cell whose group (or flow node) exhausted the
+    whole ladder: zero counters, ``status="failed"`` and the error."""
+    return CellResult(
+        benchmark=benchmark,
+        options_label=options_label,
+        machine=machine,
+        instructions=0,
+        checksum_ok=False,
+        minor_cycles=0,
+        base_cycles=0.0,
+        parallelism=0.0,
+        stalls=None,
+        seconds=0.0,
+        compile_seconds=0.0,
+        compile_cached=False,
+        replay=None,
+        status="failed",
+        attempts=attempts,
+        error=error,
+        history=history,
+    )
+
+
+def finish_run(
+    plan: Plan,
+    cells: list[CellResult],
+    rec: Recorder,
+    *,
+    workers: int,
+    groups: int,
+    cache_hits: int,
+    cache_misses: int,
+    seconds: float,
+    compile_seconds: float,
+    group_retries: int = 0,
+    pool_restarts: int = 0,
+) -> EngineReport:
+    """Build the run's :class:`EngineReport` from its plan-ordered
+    ``cells`` and, when ``rec`` is enabled, emit one ``cell`` event per
+    cell and the closing ``engine`` event."""
+    report = EngineReport(
+        workers=workers,
+        cells=len(cells),
+        groups=groups,
+        cache_hits=cache_hits,
+        cache_misses=cache_misses,
+        seconds=seconds,
+        compile_seconds=compile_seconds,
+        sim_seconds=sum(c.seconds for c in cells),
+        replay_backend=BACKEND,
+        ok_cells=sum(1 for c in cells if c.status == "ok"),
+        retried_cells=sum(1 for c in cells if c.status == "retried"),
+        degraded_cells=sum(1 for c in cells if c.status == "degraded"),
+        failed_cells=sum(1 for c in cells if c.status == "failed"),
+        group_retries=group_retries,
+        pool_restarts=pool_restarts,
+    )
+    for c in cells:
+        if c.replay:
+            report.memo_hits += c.replay.get("memo_hits", 0)
+            report.memo_misses += c.replay.get("memo_misses", 0)
+            report.memo_fallbacks += c.replay.get("fallbacks", 0)
+            report.memo_instructions += c.replay.get(
+                "memo_instructions", 0)
+            report.direct_instructions += c.replay.get(
+                "direct_instructions", 0)
+            report.vectorized_blocks += c.replay.get(
+                "vectorized_blocks", 0)
+            report.scalar_fallback_blocks += c.replay.get(
+                "scalar_fallback_blocks", 0)
+            report.memo_persisted_hits += c.replay.get(
+                "memo_persisted_hits", 0)
+    if not rec.enabled:
+        return report
+    # `cells` is plan-ordered, so each result's scheduler comes from
+    # the matching plan cell.
+    for plan_cell, c in zip(plan.cells, cells):
+        event = {
+            "benchmark": c.benchmark,
+            "machine": c.machine,
+            "options": c.options_label,
+            "scheduler": plan_cell.options.scheduler,
+            "seconds": c.seconds,
+            "cached": c.compile_cached,
+            "status": c.status,
+            "attempts": c.attempts,
+            "instructions": c.instructions,
+            "minor_cycles": c.minor_cycles,
+            "base_cycles": c.base_cycles,
+            "parallelism": c.parallelism,
+        }
+        if c.stalls is not None:
+            event["stalls"] = c.stalls.as_dict()
+        if c.replay is not None:
+            event["replay"] = c.replay
+        if c.error is not None:
+            event["error"] = c.error
+        if c.history:
+            event["history"] = list(c.history)
+        rec.emit("cell", **event)
+        rec.incr("engine.cells")
+    rec.emit("engine", **report.as_dict())
+    return report
 
 
 def _merge_resource(acc: dict[str, dict], summary: dict) -> None:
@@ -643,7 +721,15 @@ def execute(
                 if summary:
                     _merge_resource(worker_resources, summary)
             if outcome.status == "failed":
-                installed = _failed_group_cells(plan, indices, outcome)
+                error = (outcome.error.as_dict()
+                         if outcome.error is not None else None)
+                history = tuple(r.as_dict() for r in outcome.history)
+                installed = [(i, failed_cell(
+                    plan.cells[i].benchmark, plan.cells[i].machine.name,
+                    plan.cells[i].options_label,
+                    attempts=outcome.attempts, error=error,
+                    history=history,
+                )) for i in indices]
             else:
                 assert outcome.results is not None
                 installed = outcome.results
@@ -668,39 +754,17 @@ def execute(
 
     cells = [c for c in slots if c is not None]
     assert len(cells) == len(plan.cells), "engine lost cell results"
-    seconds = time.perf_counter() - start
-    report = EngineReport(
+    report = finish_run(
+        plan, cells, rec,
         workers=workers,
-        cells=len(cells),
         groups=len(groups),
         cache_hits=hits,
         cache_misses=misses,
-        seconds=seconds,
+        seconds=time.perf_counter() - start,
         compile_seconds=compile_seconds,
-        sim_seconds=sum(c.seconds for c in cells),
-        ok_cells=sum(1 for c in cells if c.status == "ok"),
-        retried_cells=sum(1 for c in cells if c.status == "retried"),
-        degraded_cells=sum(1 for c in cells if c.status == "degraded"),
-        failed_cells=sum(1 for c in cells if c.status == "failed"),
         group_retries=sum(len(o.history) for o in outcomes),
         pool_restarts=stats.pool_restarts,
     )
-    report.replay_backend = BACKEND
-    for c in cells:
-        if c.replay:
-            report.memo_hits += c.replay.get("memo_hits", 0)
-            report.memo_misses += c.replay.get("memo_misses", 0)
-            report.memo_fallbacks += c.replay.get("fallbacks", 0)
-            report.memo_instructions += c.replay.get(
-                "memo_instructions", 0)
-            report.direct_instructions += c.replay.get(
-                "direct_instructions", 0)
-            report.vectorized_blocks += c.replay.get(
-                "vectorized_blocks", 0)
-            report.scalar_fallback_blocks += c.replay.get(
-                "scalar_fallback_blocks", 0)
-            report.memo_persisted_hits += c.replay.get(
-                "memo_persisted_hits", 0)
     if mx.enabled:
         mx.gauge("engine.workers", workers)
         mx.incr("engine.groups", len(groups))
@@ -711,34 +775,6 @@ def execute(
         mx.incr("engine.group_retries", report.group_retries)
         mx.incr("engine.pool_restarts", report.pool_restarts)
     if rec.enabled:
-        # `cells` is plan-ordered (slots are filled by plan index), so
-        # each result's scheduler comes from the matching plan cell.
-        for plan_cell, c in zip(plan.cells, cells):
-            event = {
-                "benchmark": c.benchmark,
-                "machine": c.machine,
-                "options": c.options_label,
-                "scheduler": plan_cell.options.scheduler,
-                "seconds": c.seconds,
-                "cached": c.compile_cached,
-                "status": c.status,
-                "attempts": c.attempts,
-                "instructions": c.instructions,
-                "minor_cycles": c.minor_cycles,
-                "base_cycles": c.base_cycles,
-                "parallelism": c.parallelism,
-            }
-            if c.stalls is not None:
-                event["stalls"] = c.stalls.as_dict()
-            if c.replay is not None:
-                event["replay"] = c.replay
-            if c.error is not None:
-                event["error"] = c.error
-            if c.history:
-                event["history"] = list(c.history)
-            rec.emit("cell", **event)
-            rec.incr("engine.cells")
-        rec.emit("engine", **report.as_dict())
         for summary in resources:
             rec.emit("resource", **summary)
         emit_span_events(rec, tr)

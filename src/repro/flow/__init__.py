@@ -1,11 +1,12 @@
 """Declarative, crash-resumable workflow DAGs (``repro.flow``).
 
-The flow layer turns the repo's drivers — sweeps, suite reports,
-exhibit priming — into explicit DAGs of content-fingerprinted nodes
-(:mod:`~repro.flow.dag`), executes them through the resilient engine
-substrate (:mod:`~repro.flow.engine`), and persists every completed
-node to a content-addressed state store alongside an append-only,
-fsynced run journal (:mod:`~repro.flow.state`).
+The flow layer turns a sweep plan (``repro suite --flow``,
+:func:`repro.api.flow_sweep`) into an explicit DAG of
+content-fingerprinted nodes (:mod:`~repro.flow.dag`), executes them
+through the resilient engine substrate (:mod:`~repro.flow.engine`),
+and persists every completed node to a content-addressed state store
+alongside an append-only, fsynced run journal
+(:mod:`~repro.flow.state`).
 
 Kill the process at *any* node boundary — ``kill -9``, a ``kill@N``
 fault spec, a power cut — and ``repro resume <run-id>`` replays the
@@ -26,17 +27,7 @@ from .engine import (
     run_flow,
     verify_journal,
 )
-from .flows import (
-    PRIME_RUNNERS,
-    REPORT_RUNNERS,
-    SWEEP_RUNNERS,
-    FlowContext,
-    flow_event,
-    prime_flow,
-    report_flow,
-    run_sweep_flow,
-    sweep_flow,
-)
+from .flows import SWEEP_RUNNERS, flow_event, run_sweep_flow, sweep_flow
 from .state import (
     JOURNAL_VERSION,
     STATE_FORMAT,
@@ -53,7 +44,6 @@ from .state import (
 )
 
 __all__ = [
-    "FlowContext",
     "FlowDag",
     "FlowError",
     "FlowNode",
@@ -64,8 +54,6 @@ __all__ = [
     "Journal",
     "JournalError",
     "NODE_STATUSES",
-    "PRIME_RUNNERS",
-    "REPORT_RUNNERS",
     "STATE_FORMAT",
     "SWEEP_RUNNERS",
     "flow_event",
@@ -74,9 +62,7 @@ __all__ = [
     "journal_path",
     "list_runs",
     "new_run_id",
-    "prime_flow",
     "read_journal",
-    "report_flow",
     "run_flow",
     "run_sweep_flow",
     "runs_dir",

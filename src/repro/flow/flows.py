@@ -1,20 +1,15 @@
-"""Standard flow definitions: sweep, suite report, and exhibit priming.
+"""The sweep flow: a plan as a checkpointed, resumable DAG.
 
-These rebuild the repo's existing drivers as declarative
-:class:`~repro.flow.dag.FlowDag`\\ s so they inherit checkpointing and
-crash-resume from :func:`~repro.flow.engine.run_flow`:
-
-* **sweep** — one ``sweep.compile`` node per compile group, one
-  ``sweep.cell`` node per plan cell (depending on its group's compile),
-  and a local ``sweep.rows`` aggregate.  Each cell node produces the
-  same :class:`~repro.engine.executor.CellResult` the classic executor
-  yields, so sweep rows, events, and reports are bit-identical between
-  the flow and non-flow paths (modulo wall-clock fields).
-* **report** — one ``report.observe`` node per benchmark, returning the
-  picklable :class:`~repro.obs.report.BenchmarkReport` the parent
-  re-emits in suite order.
-* **prime** — compile nodes only; the parent re-seeds the in-process
-  run memo from the now-warm disk cache.
+:func:`sweep_flow` turns a :class:`~repro.engine.plan.Plan` into a
+declarative :class:`~repro.flow.dag.FlowDag` so it inherits
+checkpointing and crash-resume from :func:`~repro.flow.engine.run_flow`:
+one ``sweep.compile`` node per compile group, one ``sweep.cell`` node
+per plan cell (depending on its group's compile), and a local
+``sweep.rows`` aggregate.  The nodes run the executor's own group code
+(:func:`~repro.engine.executor.acquire_run` and
+:func:`~repro.engine.executor._run_group`), so sweep rows, events, and
+reports are bit-identical between the flow and non-flow paths (modulo
+wall-clock fields).
 
 Node fingerprints reuse the repo's existing content identities —
 :func:`~repro.engine.cache.trace_key` for compilations,
@@ -26,43 +21,25 @@ exactly the downstream DAG slice and nothing else.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..benchmarks import suite
 from ..engine.cache import TraceCache, trace_key
-from ..engine.executor import CellResult, EngineReport, EngineResult, _prime_one
+from ..engine.executor import (
+    CellResult,
+    EngineResult,
+    _run_group,
+    acquire_run,
+    failed_cell,
+    finish_run,
+)
 from ..engine.faults import FaultPlan
 from ..engine.plan import Plan
 from ..engine.resilience import CELL_STATUSES, RetryPolicy
 from ..obs.recorder import Recorder, active_recorder
 from ..obs.trace import Tracer
-from ..sim.memo import open_memo_store
-from ..sim.replay import BACKEND
-from ..sim.timing import simulate
 from .dag import FlowDag, FlowError, FlowNode
 from .engine import FlowResult, FlowRunner, run_flow
-
-
-@dataclass(slots=True)
-class FlowContext:
-    """Everything a driver needs to route execution through a flow.
-
-    Threaded through ``sweep(..., flow=...)``,
-    ``build_suite_report(..., flow=...)`` and friends so flow options
-    don't sprawl across every driver signature.  ``kill_action``
-    replaces the genuine SIGKILL for in-process tests.
-    """
-
-    cache: TraceCache
-    run_id: str | None = None
-    flow_spec: dict | None = None
-    policy: RetryPolicy | None = None
-    faults: FaultPlan | None = None
-    kill_action: Callable[[str, int], None] | None = None
-    #: filled in by the driver after the run (for CLI/journal reporting)
-    result: FlowResult | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +56,10 @@ def _compile_node(name: str, payload: tuple, deps: dict) -> dict:
     it without the checkpoint store ever holding a trace twice.
     """
     benchmark, options, cache_root = payload
-    cache = TraceCache(cache_root)
-    result, cached = _prime_one(benchmark, options, cache)
-    bench = suite.get(benchmark)
-    checksum_ok = abs(result.value - bench.reference()) <= bench.fp_tolerance
+    result, cached, checksum_ok = acquire_run(benchmark, options,
+                                              TraceCache(cache_root))
     return {
-        "key": trace_key(bench.source(), options),
+        "key": trace_key(suite.get(benchmark).source(), options),
         "instructions": result.instructions,
         "checksum_ok": checksum_ok,
         "cached": cached,
@@ -101,38 +76,13 @@ def _validate_compile(value: Any) -> str | None:
 
 
 def _cell_node(name: str, payload: tuple, deps: dict) -> CellResult:
-    """Measure one (benchmark, options, machine) cell.
-
-    The trace comes from the disk cache the compile dependency warmed;
-    the timing simulation consults the persistent replay-memo store
-    exactly like :func:`~repro.engine.executor._run_group` does.
-    """
+    """Measure one (benchmark, options, machine) cell: a one-cell
+    :func:`~repro.engine.executor._run_group` over the trace the
+    compile dependency left in the disk cache."""
     benchmark, options, machine, label, observe, cache_root = payload
-    cache = TraceCache(cache_root)
-    start = time.perf_counter()
-    result, cached = _prime_one(benchmark, options, cache)
-    compile_seconds = time.perf_counter() - start
-    bench = suite.get(benchmark)
-    checksum_ok = abs(result.value - bench.reference()) <= bench.fp_tolerance
-    memo = open_memo_store(cache)
-    t0 = time.perf_counter()
-    timing = simulate(result.trace, machine, observe=observe, memo=memo)
-    return CellResult(
-        benchmark=benchmark,
-        options_label=label,
-        machine=machine.name,
-        instructions=result.instructions,
-        checksum_ok=checksum_ok,
-        minor_cycles=timing.minor_cycles,
-        base_cycles=timing.base_cycles,
-        parallelism=timing.parallelism,
-        stalls=timing.stalls,
-        seconds=time.perf_counter() - t0,
-        compile_seconds=compile_seconds,
-        compile_cached=cached,
-        replay=(timing.replay.as_dict()
-                if timing.replay is not None else None),
-    )
+    cells, _ = _run_group(benchmark, options, [(0, machine, label)],
+                          observe, TraceCache(cache_root))
+    return cells[0][1]
 
 
 def _validate_cell(value: Any) -> str | None:
@@ -145,31 +95,6 @@ def _validate_cell(value: Any) -> str | None:
     return None
 
 
-def _failed_cell(node_name: str, benchmark: str, machine: str,
-                 label: str, message: str) -> CellResult:
-    """Placeholder for a cell whose node failed or was skipped —
-    mirrors :func:`~repro.engine.executor._failed_group_cells`."""
-    return CellResult(
-        benchmark=benchmark,
-        options_label=label,
-        machine=machine,
-        instructions=0,
-        checksum_ok=False,
-        minor_cycles=0,
-        base_cycles=0.0,
-        parallelism=0.0,
-        stalls=None,
-        seconds=0.0,
-        compile_seconds=0.0,
-        compile_cached=False,
-        replay=None,
-        status="failed",
-        attempts=1,
-        error={"kind": "flow", "message": message,
-               "benchmark": benchmark, "node": node_name},
-    )
-
-
 def _rows_node(name: str, payload: list, deps: dict) -> list[CellResult]:
     """Assemble cell results in plan order, placeholding failed nodes."""
     rows: list[CellResult] = []
@@ -178,9 +103,11 @@ def _rows_node(name: str, payload: list, deps: dict) -> list[CellResult]:
         if isinstance(cell, CellResult):
             rows.append(cell)
         else:
-            rows.append(_failed_cell(
-                node_name, benchmark, machine, label,
-                f"flow node {node_name} did not complete",
+            rows.append(failed_cell(
+                benchmark, machine, label, attempts=1,
+                error={"kind": "flow",
+                       "message": f"flow node {node_name} did not complete",
+                       "benchmark": benchmark, "node": node_name},
             ))
     return rows
 
@@ -197,24 +124,6 @@ def _validate_rows(value: Any) -> str | None:
     return None
 
 
-def _observe_node(name: str, payload: tuple, deps: dict):
-    """Observe one benchmark with full profiling (report flow)."""
-    from ..obs.report import observe_benchmark
-
-    bench_name, machines = payload
-    return observe_benchmark(bench_name, machines)
-
-
-def _validate_observe(value: Any) -> str | None:
-    from ..obs.report import BenchmarkReport
-
-    if not isinstance(value, BenchmarkReport):
-        return "observe checkpoint is not a BenchmarkReport"
-    if not value.timings:
-        return "observe checkpoint has no timings"
-    return None
-
-
 SWEEP_RUNNERS: dict[str, FlowRunner] = {
     "sweep.compile": FlowRunner("sweep.compile", _compile_node,
                                 validate=_validate_compile),
@@ -223,15 +132,6 @@ SWEEP_RUNNERS: dict[str, FlowRunner] = {
     "sweep.rows": FlowRunner("sweep.rows", _rows_node,
                              validate=_validate_rows,
                              local=True, allow_failed=True),
-}
-
-REPORT_RUNNERS: dict[str, FlowRunner] = {
-    "report.observe": FlowRunner("report.observe", _observe_node,
-                                 validate=_validate_observe),
-}
-
-PRIME_RUNNERS: dict[str, FlowRunner] = {
-    "sweep.compile": SWEEP_RUNNERS["sweep.compile"],
 }
 
 
@@ -285,94 +185,52 @@ def sweep_flow(plan: Plan, cache_root: str) -> FlowDag:
     return dag
 
 
-def report_flow(benchmarks: list[str], machines: list,
-                cache_root: str) -> FlowDag:
-    """One ``report.observe`` node per benchmark."""
-    dag = FlowDag()
-    for name in benchmarks:
-        bench = suite.get(name)
-        opts = suite.default_options(bench)
-        dag.add(FlowNode(
-            name=f"observe:{name}",
-            kind="report.observe",
-            fingerprint=json.dumps(
-                [trace_key(bench.source(), opts),
-                 [repr(m.fingerprint()) for m in machines]],
-                separators=(",", ":"),
-            ),
-            payload=(name, list(machines)),
-        ))
-    return dag
-
-
-def prime_flow(jobs: list[tuple], cache_root: str) -> FlowDag:
-    """Compile-only DAG warming the disk cache for a set of jobs."""
-    dag = FlowDag()
-    seen: set[tuple] = set()
-    gi = 0
-    for benchmark, options in jobs:
-        key = (benchmark, options.fingerprint())
-        if key in seen:
-            continue
-        seen.add(key)
-        bench = suite.get(benchmark)
-        dag.add(FlowNode(
-            name=f"compile:{benchmark}/g{gi}",
-            kind="sweep.compile",
-            fingerprint=trace_key(bench.source(), options),
-            payload=(benchmark, options, cache_root),
-        ))
-        gi += 1
-    return dag
-
-
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
 
 
-def _require_cache(flow: FlowContext) -> TraceCache:
-    cache = flow.cache
-    if cache is None or not cache.enabled:
-        raise FlowError(
-            "flow execution requires an enabled trace cache "
-            "(pass --cache-dir, or drop --no-cache)"
-        )
-    return cache
-
-
 def run_sweep_flow(
     plan: Plan,
     *,
-    flow: FlowContext,
+    cache: TraceCache,
     workers: int = 1,
+    run_id: str | None = None,
+    flow_spec: dict | None = None,
+    policy: RetryPolicy | None = None,
+    faults: FaultPlan | None = None,
+    kill_action: Callable[[str, int], None] | None = None,
     recorder: Recorder | None = None,
     tracer: Tracer | None = None,
-) -> EngineResult:
-    """Execute ``plan`` as a checkpointed flow.
+) -> tuple[EngineResult, FlowResult]:
+    """Execute ``plan`` as a checkpointed flow in ``cache``'s directory.
 
     Returns an :class:`~repro.engine.executor.EngineResult` shaped
     exactly like :func:`~repro.engine.executor.execute`'s, with the
     same ``cell``/``engine`` recorder events plus one ``flow`` summary
-    event; ``flow.result`` is filled with the run's
-    :class:`~repro.flow.engine.FlowResult`.
+    event, and the run's :class:`~repro.flow.engine.FlowResult`.
+    ``run_id`` names the journal (passing an existing one resumes it);
+    ``kill_action`` replaces the genuine SIGKILL for in-process tests.
     """
-    cache = _require_cache(flow)
+    if not cache.enabled:
+        raise FlowError(
+            "flow execution requires an enabled trace cache "
+            "(pass --cache-dir, or drop --no-cache)"
+        )
     rec = active_recorder(recorder)
     dag = sweep_flow(plan, cache.root)
     fr = run_flow(
         dag, SWEEP_RUNNERS,
         root=cache.root,
         flow_kind="sweep",
-        flow_spec=flow.flow_spec,
-        run_id=flow.run_id,
+        flow_spec=flow_spec,
+        run_id=run_id,
         workers=workers,
-        policy=flow.policy,
-        faults=flow.faults,
+        policy=policy,
+        faults=faults,
         tracer=tracer,
-        kill_action=flow.kill_action,
+        kill_action=kill_action,
     )
-    flow.result = fr
 
     rows = fr.values.get("rows")
     if rows is None:
@@ -382,73 +240,23 @@ def run_sweep_flow(
         rows = _rows_node("rows", payload,
                           {n: fr.values.get(n) for n, _, _, _ in payload})
 
-    compile_values = [fr.values[n.name] for n in dag.nodes.values()
-                      if n.kind == "sweep.compile"
-                      and n.name in fr.values]
+    compile_nodes = [n.name for n in dag.nodes.values()
+                     if n.kind == "sweep.compile"]
+    compile_values = [fr.values[n] for n in compile_nodes
+                      if n in fr.values]
     hits = sum(1 for v in compile_values if v.get("cached"))
-    groups = sum(1 for n in dag.nodes.values()
-                 if n.kind == "sweep.compile")
-    report = EngineReport(
+    report = finish_run(
+        plan, rows, rec,
         workers=workers,
-        cells=len(rows),
-        groups=groups,
+        groups=len(compile_nodes),
         cache_hits=hits,
         cache_misses=len(compile_values) - hits,
         seconds=fr.seconds,
         compile_seconds=sum(c.compile_seconds for c in rows),
-        sim_seconds=sum(c.seconds for c in rows),
-        ok_cells=sum(1 for c in rows if c.status == "ok"),
-        retried_cells=sum(1 for c in rows if c.status == "retried"),
-        degraded_cells=sum(1 for c in rows if c.status == "degraded"),
-        failed_cells=sum(1 for c in rows if c.status == "failed"),
     )
-    report.replay_backend = BACKEND
-    for c in rows:
-        if c.replay:
-            report.memo_hits += c.replay.get("memo_hits", 0)
-            report.memo_misses += c.replay.get("memo_misses", 0)
-            report.memo_fallbacks += c.replay.get("fallbacks", 0)
-            report.memo_instructions += c.replay.get(
-                "memo_instructions", 0)
-            report.direct_instructions += c.replay.get(
-                "direct_instructions", 0)
-            report.vectorized_blocks += c.replay.get(
-                "vectorized_blocks", 0)
-            report.scalar_fallback_blocks += c.replay.get(
-                "scalar_fallback_blocks", 0)
-            report.memo_persisted_hits += c.replay.get(
-                "memo_persisted_hits", 0)
-
     if rec.enabled:
-        for plan_cell, c in zip(plan.cells, rows):
-            event = {
-                "benchmark": c.benchmark,
-                "machine": c.machine,
-                "options": c.options_label,
-                "scheduler": plan_cell.options.scheduler,
-                "seconds": c.seconds,
-                "cached": c.compile_cached,
-                "status": c.status,
-                "attempts": c.attempts,
-                "instructions": c.instructions,
-                "minor_cycles": c.minor_cycles,
-                "base_cycles": c.base_cycles,
-                "parallelism": c.parallelism,
-            }
-            if c.stalls is not None:
-                event["stalls"] = c.stalls.as_dict()
-            if c.replay is not None:
-                event["replay"] = c.replay
-            if c.error is not None:
-                event["error"] = c.error
-            if c.history:
-                event["history"] = list(c.history)
-            rec.emit("cell", **event)
-            rec.incr("engine.cells")
-        rec.emit("engine", **report.as_dict())
         rec.emit("flow", **flow_event(fr))
-
-    return EngineResult(cells=rows, report=report)
+    return EngineResult(cells=rows, report=report), fr
 
 
 def flow_event(fr: FlowResult) -> dict:

@@ -303,7 +303,6 @@ def build_suite_report(
     run_id: str = "suite",
     workers: int = 1,
     tracer: Tracer | None = None,
-    flow=None,
 ) -> RunReport:
     """Observe the whole suite (or a subset) and return the run report.
 
@@ -319,12 +318,6 @@ def build_suite_report(
     ``tracer`` collects the run's span timeline; when ``None`` one is
     created automatically iff a recorder is active, and its spans are
     emitted as ``span`` events just before ``run_end``.
-
-    ``flow`` (a :class:`~repro.flow.flows.FlowContext`) routes the run
-    through the checkpointed workflow DAG: each benchmark's observation
-    becomes a journaled, resumable node and the parent re-emits events
-    in suite order, so a resumed report is bit-identical to an
-    uninterrupted one.  Requires an enabled cache.
     """
     from ..benchmarks import suite
 
@@ -342,10 +335,7 @@ def build_suite_report(
     start = time.perf_counter()
     with tr.span("report.run", cat="report", run_id=run_id,
                  benchmarks=len(benchs)):
-        if flow is not None:
-            reports = _observe_flow(benchs, configs, rec, tr,
-                                    workers=workers, flow=flow)
-        elif workers <= 1 or len(benchs) <= 1:
+        if workers <= 1 or len(benchs) <= 1:
             reports = [
                 observe_benchmark(bench, configs, recorder=rec, tracer=tr)
                 for bench in benchs
@@ -397,40 +387,3 @@ def _observe_parallel(
         pass
     return results
 
-
-def _observe_flow(
-    benchs, configs: list[MachineConfig], rec: Recorder, tr: Tracer,
-    *, workers: int, flow,
-) -> list["BenchmarkReport"]:
-    """Observe benchmarks as checkpointed flow nodes (see
-    :mod:`repro.flow`); events re-emit in suite order like the
-    parallel path, so the JSONL report matches the serial run."""
-    from ..flow.engine import run_flow
-    from ..flow.flows import REPORT_RUNNERS, _require_cache, report_flow
-
-    cache = _require_cache(flow)
-    names = [b if isinstance(b, str) else b.name for b in benchs]
-    dag = report_flow(names, configs, cache.root)
-    fr = run_flow(
-        dag, REPORT_RUNNERS,
-        root=cache.root,
-        flow_kind="report",
-        flow_spec=flow.flow_spec,
-        run_id=flow.run_id,
-        workers=workers,
-        policy=flow.policy,
-        faults=flow.faults,
-        tracer=tr,
-        kill_action=flow.kill_action,
-    )
-    flow.result = fr
-    reports = []
-    for name in names:
-        report = fr.values.get(f"observe:{name}")
-        if report is None:
-            # Node failed every rung of the ladder: degrade to an
-            # in-process rerun so the report still covers the suite.
-            report = observe_benchmark(name, configs, tracer=tr)
-        _emit_benchmark_events(rec, report)
-        reports.append(report)
-    return reports

@@ -10,7 +10,6 @@ import signal
 import pytest
 
 from repro.flow import (
-    FlowContext,
     FlowDag,
     FlowError,
     FlowNode,
@@ -22,6 +21,7 @@ from repro.flow import (
     run_sweep_flow,
     state_dir,
 )
+from repro.engine.cache import TraceCache
 from repro.flow.state import JournalError
 
 
@@ -330,11 +330,7 @@ class TestJournalErrors:
 
 
 def _sweep(plan, cache_dir, **kwargs):
-    from repro.engine.cache import TraceCache
-
-    flow = FlowContext(cache=TraceCache(str(cache_dir)), **kwargs)
-    result = run_sweep_flow(plan, flow=flow)
-    return result, flow.result
+    return run_sweep_flow(plan, cache=TraceCache(str(cache_dir)), **kwargs)
 
 
 class TestSweepFlowIncremental:
@@ -398,18 +394,37 @@ class TestSweepFlowIncremental:
         from repro.engine.executor import execute
         from repro.engine.plan import plan_sweep
         from repro.machine.presets import resolve
+        from repro.obs.recorder import Recorder
 
-        plan = plan_sweep(["whet"], [resolve("superscalar:4")])
-        flow_result, _ = _sweep(plan, tmp_path / "flow")
-        classic = execute(plan)
+        # Wall-clock fields, and the replay counters, which depend on
+        # what the memo store already held when each path ran.
+        unstable = {"seconds", "compile_seconds", "compile_cached",
+                    "cached", "replay"}
+
+        def stable(fields: dict) -> dict:
+            return {k: v for k, v in fields.items() if k not in unstable}
+
+        plan = plan_sweep(["whet"], [resolve("superscalar:4"),
+                                     resolve("superpipelined:2")],
+                          observe=True)
+        flow_rec, classic_rec = Recorder(), Recorder()
+        flow_result, _ = run_sweep_flow(
+            plan, cache=TraceCache(str(tmp_path / "flow")),
+            recorder=flow_rec)
+        classic = execute(plan, recorder=classic_rec)
+
+        assert len(flow_result.cells) == len(classic.cells) == 2
         for a, b in zip(flow_result.cells, classic.cells):
-            assert a.benchmark == b.benchmark
-            assert a.machine == b.machine
-            assert a.instructions == b.instructions
-            assert a.minor_cycles == b.minor_cycles
-            assert a.base_cycles == b.base_cycles
-            assert a.parallelism == b.parallelism
-            assert a.checksum_ok and b.checksum_ok
+            assert a.stalls is not None
+            assert stable(dataclasses.asdict(a)) \
+                == stable(dataclasses.asdict(b))
+            assert a.checksum_ok and a.status == "ok"
+
+        def cell_events(rec):
+            return [stable(e) for e in rec.events_named("cell")]
+
+        assert cell_events(flow_rec) == cell_events(classic_rec)
+        assert len(cell_events(flow_rec)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +531,6 @@ class TestFlowEventSchema:
         assert any("conservation" in e or "nodes" in e for e in errors)
 
     def test_flow_report_passes_full_schema_check(self, tmp_path):
-        from repro.engine.cache import TraceCache
         from repro.engine.plan import plan_sweep
         from repro.machine.presets import resolve
         from repro.obs.recorder import JsonlRecorder
@@ -528,7 +542,39 @@ class TestFlowEventSchema:
         with JsonlRecorder(str(path)) as rec:
             rec.emit("run_start", schema=SCHEMA_VERSION, run_id="t",
                      machines=["superscalar-4"])
-            flow = FlowContext(cache=TraceCache(str(tmp_path / "c")))
-            run_sweep_flow(plan, flow=flow, recorder=rec)
+            run_sweep_flow(plan, cache=TraceCache(str(tmp_path / "c")),
+                           recorder=rec)
             rec.emit("run_end", seconds=0.0, counters=dict(rec.counters))
         assert check_file(str(path)) == []
+
+
+class TestBenchGapFlow:
+    def test_flow_reports_same_cycles_as_executor(self, tmp_path):
+        import importlib.util
+        from pathlib import Path
+
+        from repro.flow import list_runs
+
+        script = Path(__file__).resolve().parent.parent / "scripts" \
+            / "bench_gap.py"
+        spec = importlib.util.spec_from_file_location("bench_gap", script)
+        bench_gap = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_gap)
+
+        def gap(out, *extra):
+            argv = ["--benchmarks", "whet", "--machines", "superscalar:4",
+                    "--output", str(out), *extra]
+            assert bench_gap.main(argv) == 0
+            return json.loads(out.read_text())["gap"]
+
+        cache_dir = tmp_path / "cache"
+        flow = gap(tmp_path / "flow.json", "--flow",
+                   "--cache-dir", str(cache_dir))
+        classic = gap(tmp_path / "classic.json")
+        # One journaled flow run per scheduler backend.
+        assert len(list_runs(str(cache_dir))) \
+            == len(bench_gap.DEFAULT_SCHEDULERS)
+        assert [c["cycles"] for c in flow["cells"]] \
+            == [c["cycles"] for c in classic["cells"]]
+        assert set(flow["cells"][0]["cycles"]) \
+            == set(bench_gap.DEFAULT_SCHEDULERS)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import time
 
 import pytest
@@ -485,11 +486,19 @@ class TestOverheadGuard:
         cache = open_cache(str(tmp_path / "cache"))
         execute(plan, cache=cache)  # populate: later runs are warm
 
+        # The warm grid alone takes well under a second, so one run per
+        # sample puts the 2% bound near host noise: repeat it until a
+        # sample lasts at least 0.5 s.
+        start = time.perf_counter()
+        execute(plan, cache=cache)
+        reps = max(1, math.ceil(0.5 / (time.perf_counter() - start)))
+
         def timed(traced: bool) -> float:
-            tr = Tracer() if traced else None
-            mx = MetricsRegistry() if traced else None
             start = time.perf_counter()
-            execute(plan, cache=cache, tracer=tr, metrics=mx)
+            for _ in range(reps):
+                tr = Tracer() if traced else None
+                mx = MetricsRegistry() if traced else None
+                execute(plan, cache=cache, tracer=tr, metrics=mx)
             return time.perf_counter() - start
 
         # Interleaved best-of timing damps scheduler noise; keep
@@ -503,5 +512,6 @@ class TestOverheadGuard:
         overhead = traced / plain - 1.0
         assert overhead <= 0.02, (
             f"tracing overhead {overhead:.1%} exceeds 2% "
-            f"(plain {plain:.3f}s, traced {traced:.3f}s)"
+            f"(plain {plain:.3f}s, traced {traced:.3f}s, "
+            f"{reps} runs per sample)"
         )
