@@ -729,6 +729,14 @@ def _run_suite(args, bench_names, machines, *, profile, use_flow,
     from .obs.report import render_stall_table
 
     single_machine = len(machines) == 1
+    if use_flow:
+        unsupported = [flag for flag, attr in (
+            ("--sample-resources", "sample_resources"), ("--live", "live"),
+        ) if getattr(args, attr, False)]
+        if unsupported:
+            print(f"suite: --flow does not support "
+                  f"{' or '.join(unsupported)}", file=sys.stderr)
+            return 2
 
     with _open_recorder(getattr(args, "report", None)) as recorder:
         if recorder.enabled:

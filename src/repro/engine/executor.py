@@ -484,10 +484,16 @@ def finish_run(
     compile_seconds: float,
     group_retries: int = 0,
     pool_restarts: int = 0,
+    restored: frozenset[int] = frozenset(),
 ) -> EngineReport:
     """Build the run's :class:`EngineReport` from its plan-ordered
     ``cells`` and, when ``rec`` is enabled, emit one ``cell`` event per
-    cell and the closing ``engine`` event."""
+    cell and the closing ``engine`` event.
+
+    ``restored`` holds the plan indices of cells a flow restored from
+    checkpoints: their replay-memo counters belong to the run that
+    computed them, so this run's report adds none of them.
+    """
     report = EngineReport(
         workers=workers,
         cells=len(cells),
@@ -505,8 +511,8 @@ def finish_run(
         group_retries=group_retries,
         pool_restarts=pool_restarts,
     )
-    for c in cells:
-        if c.replay:
+    for i, c in enumerate(cells):
+        if c.replay and i not in restored:
             report.memo_hits += c.replay.get("memo_hits", 0)
             report.memo_misses += c.replay.get("memo_misses", 0)
             report.memo_fallbacks += c.replay.get("fallbacks", 0)

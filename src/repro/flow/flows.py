@@ -240,19 +240,25 @@ def run_sweep_flow(
         rows = _rows_node("rows", payload,
                           {n: fr.values.get(n) for n, _, _, _ in payload})
 
+    # A restored node did no work this run: a restored compile counts
+    # as a cache hit, and a restored cell adds no replay counters.
+    restored = set(fr.restored)
     compile_nodes = [n.name for n in dag.nodes.values()
                      if n.kind == "sweep.compile"]
-    compile_values = [fr.values[n] for n in compile_nodes
-                      if n in fr.values]
-    hits = sum(1 for v in compile_values if v.get("cached"))
+    compiled = [n for n in compile_nodes if n in fr.values]
+    misses = sum(1 for n in compiled
+                 if n not in restored and not fr.values[n].get("cached"))
     report = finish_run(
         plan, rows, rec,
         workers=workers,
         groups=len(compile_nodes),
-        cache_hits=hits,
-        cache_misses=len(compile_values) - hits,
+        cache_hits=len(compiled) - misses,
+        cache_misses=misses,
         seconds=fr.seconds,
         compile_seconds=sum(c.compile_seconds for c in rows),
+        restored=frozenset(
+            i for i, (name, *_rest) in enumerate(dag.nodes["rows"].payload)
+            if name in restored),
     )
     if rec.enabled:
         rec.emit("flow", **flow_event(fr))

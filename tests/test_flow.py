@@ -427,6 +427,38 @@ class TestSweepFlowIncremental:
         assert len(cell_events(flow_rec)) == 2
 
 
+class TestRestoredFlowReport:
+    def test_primed_rerun_reports_no_misses_or_memo_hits(self, cli,
+                                                         tmp_path):
+        from repro.obs.recorder import read_jsonl
+
+        args = ("suite", "--flow", "--benchmarks", "whet",
+                "--machines", "superscalar:4", "superpipelined:2",
+                "--cache-dir", str(tmp_path / "cache"))
+        reports = []
+        for run in ("first", "rerun"):
+            path = tmp_path / f"{run}.jsonl"
+            code, _, _ = cli(*args, "--report", str(path))
+            assert code == 0
+            events = read_jsonl(str(path))
+            reports.append((
+                next(e for e in events if e["event"] == "flow"),
+                next(e for e in events if e["event"] == "engine"),
+            ))
+        (flow, engine), (reflow, rerun) = reports
+        # The first run's one compile may be served from the
+        # in-process memo; either way it executes every node.
+        assert flow["executed"] == flow["nodes"]
+        assert engine["cache_hits"] + engine["cache_misses"] == 1
+        assert engine["memo_hits"] + engine["memo_misses"] > 0
+        # The rerun restores every node: nothing compiled, nothing
+        # replayed, so no misses and no replay-memo counters.
+        assert reflow["executed"] == 0
+        assert reflow["restored"] == reflow["nodes"]
+        assert rerun["cache_hits"] == 1 and rerun["cache_misses"] == 0
+        assert rerun["memo_hits"] == rerun["memo_misses"] == 0
+
+
 # ---------------------------------------------------------------------------
 # CLI error contracts (resume/diff/dash exit 2 on bad stores)
 # ---------------------------------------------------------------------------
@@ -452,6 +484,18 @@ def cli(capsys):
 
 
 class TestCliErrors:
+    @pytest.mark.parametrize("flag", ["--sample-resources", "--live"])
+    def test_flow_rejects_unsupported_flags(self, cli, tmp_path, flag):
+        report = tmp_path / "r.jsonl"
+        code, out, err = cli("suite", "--flow", flag,
+                             "--benchmarks", "whet",
+                             "--cache-dir", str(tmp_path),
+                             "--report", str(report))
+        assert code == 2
+        assert f"--flow does not support {flag}" in err
+        assert out == ""
+        assert not report.exists()
+
     def test_resume_missing_journal(self, cli, tmp_path):
         code, _, err = cli("resume", "ghost",
                            "--cache-dir", str(tmp_path))
