@@ -237,7 +237,7 @@ def main(argv=None) -> int:
             for core in machine_cores:
                 pv = core._plan_vec()
                 cv = core._vec
-                if cv is None and core._records is not None:
+                if cv is None and core._rec_ids is not None:
                     cv = replay_mod._replay_vec.build_core_vec(core, pv)
                     core._vec = cv
                 if pv is None or cv is None:

@@ -491,8 +491,9 @@ def finish_run(
     cell and the closing ``engine`` event.
 
     ``restored`` holds the plan indices of cells a flow restored from
-    checkpoints: their replay-memo counters belong to the run that
-    computed them, so this run's report adds none of them.
+    checkpoints: their simulation time and replay-memo counters belong
+    to the run that computed them, so this run's report adds none of
+    them.
     """
     report = EngineReport(
         workers=workers,
@@ -502,7 +503,8 @@ def finish_run(
         cache_misses=cache_misses,
         seconds=seconds,
         compile_seconds=compile_seconds,
-        sim_seconds=sum(c.seconds for c in cells),
+        sim_seconds=sum(c.seconds for i, c in enumerate(cells)
+                        if i not in restored),
         replay_backend=BACKEND,
         ok_cells=sum(1 for c in cells if c.status == "ok"),
         retried_cells=sum(1 for c in cells if c.status == "retried"),

@@ -21,6 +21,7 @@ exactly the downstream DAG slice and nothing else.
 from __future__ import annotations
 
 import json
+import time
 from typing import Any, Callable
 
 from ..benchmarks import suite
@@ -56,6 +57,7 @@ def _compile_node(name: str, payload: tuple, deps: dict) -> dict:
     it without the checkpoint store ever holding a trace twice.
     """
     benchmark, options, cache_root = payload
+    start = time.perf_counter()
     result, cached, checksum_ok = acquire_run(benchmark, options,
                                               TraceCache(cache_root))
     return {
@@ -63,6 +65,7 @@ def _compile_node(name: str, payload: tuple, deps: dict) -> dict:
         "instructions": result.instructions,
         "checksum_ok": checksum_ok,
         "cached": cached,
+        "seconds": time.perf_counter() - start,
     }
 
 
@@ -241,13 +244,17 @@ def run_sweep_flow(
                           {n: fr.values.get(n) for n, _, _, _ in payload})
 
     # A restored node did no work this run: a restored compile counts
-    # as a cache hit, and a restored cell adds no replay counters.
+    # as a cache hit and adds no compile time, and a restored cell adds
+    # no trace-load time, simulation time or replay counters.
     restored = set(fr.restored)
     compile_nodes = [n.name for n in dag.nodes.values()
                      if n.kind == "sweep.compile"]
     compiled = [n for n in compile_nodes if n in fr.values]
-    misses = sum(1 for n in compiled
-                 if n not in restored and not fr.values[n].get("cached"))
+    executed = [n for n in compiled if n not in restored]
+    misses = sum(1 for n in executed if not fr.values[n].get("cached"))
+    restored_cells = frozenset(
+        i for i, (name, *_rest) in enumerate(dag.nodes["rows"].payload)
+        if name in restored)
     report = finish_run(
         plan, rows, rec,
         workers=workers,
@@ -255,10 +262,11 @@ def run_sweep_flow(
         cache_hits=len(compiled) - misses,
         cache_misses=misses,
         seconds=fr.seconds,
-        compile_seconds=sum(c.compile_seconds for c in rows),
-        restored=frozenset(
-            i for i, (name, *_rest) in enumerate(dag.nodes["rows"].payload)
-            if name in restored),
+        compile_seconds=(
+            sum(fr.values[n].get("seconds", 0.0) for n in executed)
+            + sum(c.compile_seconds for i, c in enumerate(rows)
+                  if i not in restored_cells)),
+        restored=restored_cells,
     )
     if rec.enabled:
         rec.emit("flow", **flow_event(fr))

@@ -1,12 +1,15 @@
-"""Persistent replay-memo store: warm-start block memo tables.
+"""Persistent replay-memo store: warm-start replays across processes.
 
 A :class:`repro.sim.replay.ReplayCore` learns its per-block memo tables
-from scratch in every process — today that means every engine worker
+from scratch in every process — without a store, every engine worker
 and every fresh run re-pays the resolve cost for traces it has replayed
 many times before.  This module persists the learned state
 (:meth:`~repro.sim.replay.ReplayCore.export_memo` payloads) into the
 content-addressed cache directory alongside the trace-v2 entries, so
-cold processes start warm.
+cold processes start warm.  Under the NumPy backend a payload is the
+resolving run's records, already flattened into int64 arrays for the
+vectorized kernel, plus one record id per event; under the scalar
+backend it is the memo tables.
 
 Keying
 ------

@@ -94,7 +94,12 @@ BACKEND = "numpy" if _np is not None else "scalar"
 
 #: Format tag of persisted replay-memo payloads (see
 #: :meth:`ReplayCore.export_memo` and :mod:`repro.sim.memo`).
-MEMO_PAYLOAD_FORMAT = "replay-memo-v2"
+MEMO_PAYLOAD_FORMAT = "replay-memo-v3"
+
+#: Fields of every memo payload; the NumPy backend adds the flat record
+#: arrays (:data:`repro.sim.replay_vec.FLAT_FIELDS`), the scalar backend
+#: its ``tables``.
+_MEMO_HEADER = ("format", "key_format", "mode", "record_ids")
 
 
 def _id_array(ids: list[int]):
@@ -106,16 +111,11 @@ def _id_array(ids: list[int]):
 
 def _valid_ids(ids, n_records: int, n_events: int) -> bool:
     """``ids`` is a flat int32 id array of ``n_events`` entries, each
-    naming one of ``n_records`` records."""
-    if _np is not None:
-        if not (isinstance(ids, _np.ndarray) and ids.dtype == _np.int32
-                and ids.ndim == 1):
-            return False
-        lo, hi = (int(ids.min()), int(ids.max())) if ids.size else (0, -1)
-    else:
-        if not (isinstance(ids, array) and ids.typecode == "i"):
-            return False
-        lo, hi = (min(ids), max(ids)) if ids else (0, -1)
+    naming one of ``n_records`` records (NumPy backend)."""
+    if not (isinstance(ids, _np.ndarray) and ids.dtype == _np.int32
+            and ids.ndim == 1):
+        return False
+    lo, hi = (int(ids.min()), int(ids.max())) if ids.size else (0, -1)
     return len(ids) == n_events and lo >= 0 and hi < n_records
 
 
@@ -365,13 +365,6 @@ def build_plan(
         block.count = count
         block.eligible = count >= 2
 
-    # Dataflow summaries, needed eagerly only for memoizable blocks; the
-    # vectorized kernel fills them in lazily for the rest (see
-    # :func:`_block_dataflow`).
-    for block in blocks:
-        if block.eligible:
-            _block_dataflow(block, entries)
-
     return _Plan(blocks=blocks, schedule=seq)
 
 
@@ -379,9 +372,11 @@ def _block_dataflow(block: _Block, entries: list) -> None:
     """Compute a block's live-in/def/memory summaries (idempotent).
 
     ``entries`` is the static skeleton from :func:`_static_skeleton`.
-    Eager for memoizable blocks (the scalar key path needs them on every
-    event); lazy for direct-replay blocks, which only the vectorized
-    kernel and the resolve capture ever summarize.
+    Built on first need: by the scalar memo loop for the blocks it keys
+    (:meth:`ReplayCore._run_memoized`), by the resolve capture for the
+    blocks it replays directly, and by :func:`repro.sim.replay_vec.
+    build_plan_vec`.  A replay adopting a persisted memo and plan never
+    builds any.
     """
     if block.has_dataflow:
         return
@@ -515,14 +510,24 @@ class ReplayCore:
                  "observe", "want_times", "_klasses", "_width",
                  "_stall_on_branches", "_has_units", "_tables",
                  "_block_unit_cache", "_hit_counts", "_miss_counts",
-                 "_blacklisted", "_records", "_rec_ids", "_vec",
-                 "_adopted_keys", "_unit_states")
+                 "_records", "_flat", "_rec_ids", "_vec",
+                 "_adopted", "_learned", "_unit_states")
 
     def __init__(self, trace: Trace, config: MachineConfig, *,
                  observe: bool = False, want_times: bool = False) -> None:
         self.trace = trace
         self.config = config
-        self.records, self.max_reg = _static_records(trace, config)
+        #: Per-static-instruction issue records (:func:`_static_records`)
+        #: and the highest register index, built on first need by
+        #: :meth:`_static` — a vectorized replay of adopted records uses
+        #: them only to find a block's functional units.
+        self.records: list[tuple] | None = None
+        self.max_reg = 0
+        #: Distinct shared :class:`_UnitState` objects from ``records``;
+        #: their ``free`` times are absolute minor cycles within one
+        #: run, so every scalar run starts by zeroing them (rerunning a
+        #: core must be a fresh replay, not a continuation).
+        self._unit_states: list[_UnitState] = []
         self.plan = plan_for(trace)
         self.observe = observe
         self.want_times = want_times
@@ -532,16 +537,6 @@ class ReplayCore:
         self._width = config.issue_width
         self._stall_on_branches = config.branch_policy == "stall"
         self._has_units = bool(config.units)
-        #: Distinct shared :class:`_UnitState` objects from ``records``;
-        #: their ``free`` times are absolute minor cycles within one
-        #: run, so every scalar run starts by zeroing them (rerunning a
-        #: core must be a fresh replay, not a continuation).
-        seen_units: dict[int, _UnitState] = {}
-        for rec in self.records:
-            unit = rec[3]
-            if unit is not None:
-                seen_units[id(unit)] = unit
-        self._unit_states = list(seen_units.values())
         n_blocks = len(self.plan.blocks)
         #: Per-block memo table; ``None`` marks a block that is replayed
         #: directly (ineligible from the start, or blacklisted later), so
@@ -552,21 +547,28 @@ class ReplayCore:
         self._block_unit_cache: list[tuple | None] = [None] * n_blocks
         self._hit_counts = [0] * n_blocks
         self._miss_counts = [0] * n_blocks
-        self._blacklisted = bytearray(n_blocks)
-        #: What the last scalar *resolving* run recorded, the input to
-        #: the vectorized kernel and the persisted memo payload: the
-        #: distinct records ``(bid, key, entry, kind)`` — ``kind`` 0 for
-        #: table-backed events, 1 for direct/fallback replays — and one
-        #: record id per schedule event (:func:`_id_array`).
+        #: What the last scalar *resolving* run recorded (NumPy
+        #: backend): the distinct records ``(bid, key, entry, kind)`` —
+        #: ``kind`` 0 for table-backed events, 1 for direct/fallback
+        #: replays — and one record id per schedule event
+        #: (:func:`_id_array`).
         self._records: list | None = None
         self._rec_ids = None
+        #: The records flattened into arrays
+        #: (:func:`repro.sim.replay_vec.flatten_records`), the input of
+        #: the vectorized kernel and the persisted memo payload: built
+        #: from ``_records`` on first need, or adopted from a payload.
+        self._flat: dict | None = None
         #: ``None`` (not built) or the per-core arrays for the
         #: vectorized kernel.
         self._vec: object = None
-        #: Per-block frozensets of memo keys adopted from a persisted
-        #: payload (``None`` until :meth:`adopt_memo`), for the
-        #: ``memo_persisted_hits`` counter.
-        self._adopted_keys: list | None = None
+        #: True when the records (NumPy) or memo tables (scalar) came
+        #: from a persisted payload: their hits count as
+        #: ``memo_persisted_hits``.
+        self._adopted = False
+        #: ``id()`` of every table entry learned since adoption (scalar
+        #: backend): hits on them are live, not persisted.
+        self._learned: set[int] = set()
 
     def _plan_vec(self, persisted=None):
         """The (lazily built) SoA view of the plan, shared per trace;
@@ -582,41 +584,52 @@ class ReplayCore:
             self.plan.vec = pv
         return pv
 
+    def _flat_records(self) -> dict | None:
+        """The flattened records (NumPy backend), flattening this
+        process's resolve on first need; ``None`` before any."""
+        if self._flat is None and self._records is not None:
+            self._flat = _replay_vec.flatten_records(self, self._plan_vec())
+        return self._flat
+
     def export_memo(self) -> dict:
         """Snapshot the learned memo state as a persistable payload.
 
-        The payload shares the live table/record object graphs (cheap;
-        pickling deduplicates shared tuples, so a table-backed record
-        costs a reference).  ``records``/``record_ids`` are the last
-        resolving run's distinct records and flat per-event ids (both
-        ``None`` before one).  Adopted by a later core via
-        :meth:`adopt_memo`; stored on disk by :mod:`repro.sim.memo`.
+        Under the NumPy backend the payload is the last resolving run's
+        records, flattened into int64 arrays
+        (:data:`repro.sim.replay_vec.FLAT_FIELDS`), plus one int32
+        record id per schedule event; it holds no memo tables.  Under
+        the scalar backend it is the live memo tables (shared, not
+        copied) and ``record_ids`` is ``None``.  Adopted by a later
+        core via :meth:`adopt_memo`; stored on disk by
+        :mod:`repro.sim.memo`.
         """
-        return {
+        payload = {
             "format": MEMO_PAYLOAD_FORMAT,
             "key_format": BACKEND,
             "mode": (self.observe, self.want_times),
-            "tables": self._tables,
-            "blacklisted": bytes(self._blacklisted),
-            "records": self._records,
             "record_ids": self._rec_ids,
         }
+        if _np is None:
+            payload["tables"] = self._tables
+        else:
+            payload.update(self._flat_records() or {})
+        return payload
 
     def adopt_memo(self, payload) -> bool:
         """Adopt a persisted memo payload; ``False`` leaves state untouched.
 
         Structural validation mirrors the trace cache: a payload with
-        the wrong format tag, backend key format, replay mode, block
-        shape, or record-id array (dtype, length, id range) is reported
+        the wrong format tag, backend key format, replay mode or field
+        set, a malformed record-id array (dtype, length, id range), or
+        (NumPy) flat record arrays of the wrong dtype or shape, or
+        (scalar) tables that do not fit the plan's blocks, is reported
         stale/corrupt rather than trusted — the caller drops the cache
-        entry and the core starts cold.  Records the vectorized kernel
-        cannot express, or whose keys no longer verify against the
-        dependence chains, cost a scalar re-resolve.  Entry *values*
-        are trusted: on disk they are covered by the store's content
-        digest (:mod:`repro.sim.memo`).
+        entry and the core starts cold.  Records that do not fit the
+        plan, or whose keys no longer verify against the dependence
+        chains, cost a cold scalar re-resolve.  Entry *values* are
+        trusted: on disk they are covered by the store's content digest
+        (:mod:`repro.sim.memo`).
         """
-        blocks = self.plan.blocks
-        n_blocks = len(blocks)
         try:
             if payload.get("format") != MEMO_PAYLOAD_FORMAT:
                 return False
@@ -624,51 +637,70 @@ class ReplayCore:
                 return False
             if payload.get("mode") != (self.observe, self.want_times):
                 return False
-            tables = payload["tables"]
-            black = payload["blacklisted"]
-            records = payload["records"]
+            body = (("tables",) if _np is None
+                    else _replay_vec.FLAT_FIELDS)
+            if payload.keys() != {*_MEMO_HEADER, *body}:
+                return False
+            if _np is None:
+                return self._adopt_tables(payload)
+            flat = _replay_vec.check_flat(payload, self.observe)
             ids = payload["record_ids"]
-            if not isinstance(tables, list) or len(tables) != n_blocks:
-                return False
-            if not isinstance(black, (bytes, bytearray)) \
-                    or len(black) != n_blocks:
-                return False
-            for bid, table in enumerate(tables):
-                if table is None:
-                    continue
-                if not isinstance(table, dict) \
-                        or not blocks[bid].eligible:
-                    return False
-                for key, entry in table.items():
-                    if not isinstance(key, tuple) or len(key) != 6:
-                        return False
-                    if not isinstance(entry, tuple) or len(entry) != 9:
-                        return False
-            if (records is None) != (ids is None):
-                return False
-            if records is not None and not (
-                    isinstance(records, list)
-                    and _valid_ids(ids, len(records),
-                                   len(self.plan.schedule))):
+            if flat is None or not _valid_ids(
+                    ids, flat["scalars"].shape[0], len(self.plan.schedule)):
                 return False
         except (AttributeError, TypeError, KeyError):
             return False
-        self._tables = tables
-        self._blacklisted = bytearray(black)
-        self._records = records
+        self._flat = flat
+        self._records = None
         self._rec_ids = ids
         self._vec = None
-        self._adopted_keys = [
-            frozenset(table) if table else None for table in tables
-        ]
+        self._adopted = True
         return True
+
+    def _adopt_tables(self, payload) -> bool:
+        """Adopt a scalar-backend payload's memo tables when they fit."""
+        blocks = self.plan.blocks
+        tables = payload["tables"]
+        if payload["record_ids"] is not None:
+            return False
+        if not isinstance(tables, list) or len(tables) != len(blocks):
+            return False
+        for bid, table in enumerate(tables):
+            if table is None:
+                continue
+            if not isinstance(table, dict) or not blocks[bid].eligible:
+                return False
+            for key, entry in table.items():
+                if not isinstance(key, tuple) or len(key) != 6:
+                    return False
+                if not isinstance(entry, tuple) or len(entry) != 9:
+                    return False
+        self._tables = tables
+        self._adopted = True
+        self._learned = set()
+        return True
+
+    def _static(self) -> list[tuple]:
+        """The static issue records, building them (with ``max_reg`` and
+        the unit states) on first need."""
+        records = self.records
+        if records is None:
+            records, self.max_reg = _static_records(self.trace, self.config)
+            seen_units: dict[int, _UnitState] = {}
+            for rec in records:
+                unit = rec[3]
+                if unit is not None:
+                    seen_units[id(unit)] = unit
+            self._unit_states = list(seen_units.values())
+            self.records = records
+        return records
 
     def _block_units(self, bid: int) -> tuple:
         """Distinct functional units a block uses, in first-use order."""
         units = self._block_unit_cache[bid]
         if units is None:
             seen: list = []
-            records = self.records
+            records = self._static()
             for start, length in self.plan.blocks[bid].segments:
                 for si in range(start, start + length):
                     unit = records[si][3]
@@ -813,25 +845,26 @@ class ReplayCore:
         if _np is None:
             return self._run_memoized(None, resolve=False)
         pv = self._plan_vec()
-        if self._vec is None and self._records is not None:
+        if self._vec is None and self._rec_ids is not None:
             self._vec = _replay_vec.build_core_vec(self, pv)
         if self._vec is not None:
             out = _replay_vec.run_vectorized(self, pv, self._vec)
             if out is not None:
                 return out
-        if self._records is None:
+        if self._rec_ids is None:
             return self._run_memoized(pv, resolve=True)
-        # The records cannot be expressed, or a recorded key no longer
+        # The records do not fit the plan, or a recorded key no longer
         # matches its chain (e.g. a stale adopted memo): re-resolve on
         # the scalar path.
-        self._vec = None
-        self._records = self._rec_ids = None
+        self._adopted = False
         out = self._run_memoized(pv, resolve=True)
         out.stats.scalar_fallback_blocks = out.stats.blocks
         return out
 
     def _reset_units(self) -> None:
-        """Zero every functional unit's copy free-times (run start)."""
+        """Zero every functional unit's copy free-times (run start; also
+        builds the static records a scalar run replays from)."""
+        self._static()
         for unit in self._unit_states:
             free = unit.free
             for i in range(len(free)):
@@ -901,10 +934,14 @@ class ReplayCore:
         id_append = rec_ids.append if resolve else None
         #: ``id(entry)`` -> record id; entries stay alive in ``records``
         rec_of: dict[int, int] = {}
-        skel_entries = _static_skeleton(trace)[0] if resolve else None
-        adopted = self._adopted_keys
+        skel_entries = _static_skeleton(trace)[0]
+        adopted = self._adopted
+        learned = self._learned
         persisted = 0
         tables = self._tables
+        for bid, table in enumerate(tables):
+            if table is not None:
+                _block_dataflow(blocks[bid], skel_entries)
         hit_counts = self._hit_counts
         miss_counts = self._miss_counts
         has_units = self._has_units
@@ -1059,10 +1096,8 @@ class ReplayCore:
                             times.extend([T0 + dv for dv in time_deltas])
                         m += n_mem
                         hit_counts[bid] += 1
-                        if adopted is not None:
-                            akeys = adopted[bid]
-                            if akeys is not None and key in akeys:
-                                persisted += 1
+                        if adopted and id(entry) not in learned:
+                            persisted += 1
                         if id_append is not None:
                             rid = rec_of.get(id(entry))
                             if rid is None:
@@ -1141,6 +1176,8 @@ class ReplayCore:
                         if tcap is not None else None,
                     )
                     table[key] = entry
+                    if adopted:
+                        learned.add(id(entry))
                     if id_append is not None:
                         rec_of[id(entry)] = len(records)
                         id_append(len(records))
@@ -1156,7 +1193,6 @@ class ReplayCore:
                             or len(table) > _MAX_KEYS):
                         # Keys never repeat (or explode): stop paying for
                         # key construction and drop the table.
-                        self._blacklisted[bid] = 1
                         tables[bid] = None
                     continue
                 stats.fallbacks += 1
@@ -1271,7 +1307,7 @@ class ReplayCore:
         if records is not None:
             self._records = records
             self._rec_ids = _id_array(rec_ids)
-            self._vec = None
+            self._flat = self._vec = None
 
         if breakdown is not None:
             breakdown.issued_cycles = last_finish - cur_cycle

@@ -31,10 +31,12 @@ A first, scalar *resolving* run records per event the memo key it used
 and the relative-effect entry it applied (capturing equivalent records
 for blocks replayed directly), as an id into the run's distinct
 records — a hot block's few table entries serve thousands of events.
-:func:`build_core_vec` flattens each distinct record once and builds the
-per-machine arrays with NumPy gathers over the ids, and
-:func:`run_vectorized` then replays the schedule without touching a
-Python loop:
+:func:`flatten_records` flattens each distinct record once into int64
+arrays (:data:`FLAT_FIELDS`, also the persisted memo payload, so a
+primed replay adopts them without any per-record Python work);
+:func:`build_core_vec` builds the per-machine arrays with NumPy gathers
+over the ids, and :func:`run_vectorized` then replays the schedule
+without touching a Python loop:
 
 1. entry cycles ``T`` are the prefix sum of the recorded per-event
    cycle advances;
@@ -389,11 +391,13 @@ def _unit_chains(core, pv):
     """The functional-unit occupancy chains: for every (event, unit the
     block uses, copy) the previous event using that unit and the slot of
     its recorded free-time delta (a sentinel slot when there is none).
-    Returns ``(up_ev, up_src, up_slot, n_unit_slots)``."""
+    Returns ``(up_ev, up_src, up_slot, widths)``, ``widths`` holding
+    each event's number of unit-copy slots."""
     n_blocks = len(core.plan.blocks)
     unit_of: dict[int, int] = {}
     mults: list[int] = []
     lens = np.zeros(n_blocks, dtype=np.int64)
+    block_width = np.zeros(n_blocks, dtype=np.int64)
     flat: list[int] = []
     for bid in np.unique(pv.ev_bid).tolist():
         units = core._block_units(bid)
@@ -404,6 +408,7 @@ def _unit_chains(core, pv):
                 gid = unit_of[id(s)] = len(mults)
                 mults.append(len(s.free))
             flat.append(gid)
+            block_width[bid] += len(s.free)
     use_gid, per_event = _ragged(flat, lens, pv.ev_bid)
     n_uses = use_gid.size
     use_ev = np.repeat(np.arange(pv.n_events, dtype=np.int64), per_event)
@@ -422,75 +427,55 @@ def _unit_chains(core, pv):
     up_slot = np.where(np.repeat(has, copies),
                        np.repeat(slot[prev], copies) + copy, n_slots)
     return (np.repeat(use_ev, copies).astype(np.int32),
-            up_src.astype(np.int32), up_slot, n_slots)
+            up_src.astype(np.int32), up_slot, block_width[pv.ev_bid])
 
 
-def build_core_vec(core, pv):
-    """Gather one core's distinct records into per-event replay arrays.
+#: Ragged per-record fields of a flattened record set (int64, records
+#: laid end to end), each with the name of its per-record length array.
+RAGGED = (("regs", "regs_n"), ("defs", "defs_n"), ("stores", "stores_n"),
+          ("ext_j", "ext_n"), ("ext_d", "ext_n"), ("u_exp", "u_n"),
+          ("u_out", "u_n"), ("times", "times_n"))
 
-    Each distinct record (``core._records``) is flattened once; every
-    per-event array is then a NumPy gather over the per-event record
-    ids (``core._rec_ids``).  Returns a :class:`CoreVec`, or ``None``
-    when the records cannot be expressed (structurally inconsistent —
-    e.g. an adopted memo from a stale or corrupt file): the caller then
-    re-resolves on the scalar path.
+#: Every field of a flattened record set: the per-record ``scalars``
+#: (n x 9: bid, d_cyc, exit_count, d_floor, d_fin, entry_count,
+#: floor_key, n_instrs, kind), the ragged fields and their lengths, and
+#: the observe-mode charge lists (``None`` in other modes).
+FLAT_FIELDS = ("scalars",) + tuple(dict.fromkeys(
+    name for pair in RAGGED for name in pair)) + ("charges",)
+
+
+def flatten_records(core, pv) -> dict:
+    """Flatten a resolving run's distinct records (``core._records``)
+    into the :data:`FLAT_FIELDS` arrays: the in-process input of
+    :func:`build_core_vec` and the persisted memo payload's body.
+
+    ``kind`` is 0 for a direct replay, 1 for a fallback, 2 for a memo
+    hit.  Stores are dense per record (one slot per store of the block,
+    ``_NEG`` where nothing is in flight at the exit cycle).
     """
-    records = core._records
-    ids = core._rec_ids
-    n_events = pv.n_events
-    if records is None or ids is None or n_events == 0 \
-            or len(ids) != n_events:
-        return None
-    try:
-        return _gather_core_vec(core, pv, records, np.asarray(ids))
-    except (TypeError, ValueError, IndexError, KeyError, AttributeError,
-            OverflowError):
-        # Structurally inconsistent records (stale/corrupt adoption).
-        return None
-
-
-def _gather_core_vec(core, pv, records, ids):
     blocks = core.plan.blocks
     tables = core._tables
-    adopted = core._adopted_keys
     observe = core.observe
     want_times = core.want_times
     want_units = core._has_units
     sto_off = pv.blk_store_off.tolist()
     sto_pos = pv.blk_store_pos.tolist()
-
-    # ---- flatten each distinct record once
+    records = core._records
     scalars: list[tuple] = []
-    regs: list[int] = []
-    regs_n: list[int] = []
-    defs: list[int] = []
-    defs_n: list[int] = []
-    stores: list[int] = []
-    stores_n: list[int] = []
-    ext_j: list[int] = []
-    ext_d: list[int] = []
-    ext_n: list[int] = []
-    u_exp: list[int] = []
-    u_out: list[int] = []
-    units_n: list[int] = []
-    times: list[int] = []
-    times_n: list[int] = []
-    charges: list = []
+    lists = {name: [] for name in FLAT_FIELDS[1:-1]}
+    regs, regs_n = lists["regs"], lists["regs_n"]
+    defs, defs_n = lists["defs"], lists["defs_n"]
+    stores, stores_n = lists["stores"], lists["stores_n"]
+    ext_j, ext_d, ext_n = lists["ext_j"], lists["ext_d"], lists["ext_n"]
+    u_exp, u_out, u_n = lists["u_exp"], lists["u_out"], lists["u_n"]
+    times, times_n = lists["times"], lists["times_n"]
+    charges: list | None = [] if observe else None
     for bid, key, entry, kind in records:
         (d_cyc, exit_count, d_floor, regs_out, stores_out, units_out,
          d_fin, charge_list, time_deltas) = entry
         entry_count, floor_key, regs_key, unit_key, _, ext = key
         n_instrs = blocks[bid].n_instrs
-        # 0 direct, 1 fallback, 2 memo hit, 3 memo hit on an adopted key
-        if tables[bid] is None:
-            kind_of = 0
-        elif kind:
-            kind_of = 1
-        elif adopted is not None and adopted[bid] is not None \
-                and key in adopted[bid]:
-            kind_of = 3
-        else:
-            kind_of = 2
+        kind_of = 0 if tables[bid] is None else 1 if kind else 2
         scalars.append((bid, d_cyc, exit_count, d_floor, d_fin,
                         entry_count, floor_key, n_instrs, kind_of))
         regs.extend(regs_key)
@@ -511,80 +496,146 @@ def _gather_core_vec(core, pv, records, ids):
             ext_j.append(j)
             ext_d.append(dv)
         ext_n.append(len(ext))
+        width = 0
         if want_units:
-            units = core._block_units(bid)
-            if len(unit_key) != len(units) or len(units_out) != len(units):
-                return None
-            width = 0
-            for s, exp_frees, out_frees in zip(units, unit_key, units_out):
-                mult = len(s.free)
-                if len(exp_frees) != mult or len(out_frees) != mult:
-                    return None
+            for exp_frees, out_frees in zip(unit_key, units_out):
                 u_exp.extend(exp_frees)
                 u_out.extend(out_frees)
-                width += mult
-            units_n.append(width)
+                width += len(exp_frees)
+        u_n.append(width)
         if observe:
             charges.append(charge_list)
         if want_times:
-            if time_deltas is None or len(time_deltas) != n_instrs:
-                return None
             times.extend(time_deltas)
             times_n.append(n_instrs)
+        else:
+            times_n.append(0)
+    flat = {name: np.array(values, dtype=np.int64)
+            for name, values in lists.items()}
+    flat["scalars"] = np.array(scalars, dtype=np.int64).reshape(-1, 9)
+    flat["charges"] = charges
+    return flat
 
-    # ---- gather per event
+
+def _is_int64(a, ndim: int) -> bool:
+    return (isinstance(a, np.ndarray) and a.dtype == np.int64
+            and a.ndim == ndim)
+
+
+def check_flat(payload, observe: bool) -> dict | None:
+    """The :data:`FLAT_FIELDS` of ``payload`` when their dtype and
+    shape fit: int64 arrays, ``scalars`` n x 9, every ``*_n`` of length
+    n, non-negative and summing to its values' length, and a charge
+    list per record in observe mode (``None`` otherwise).  Values are
+    not checked here: the store's digest covers them on disk and the
+    kernel verifies every recorded key against the dependence chains.
+    """
+    scalars = payload["scalars"]
+    if not (_is_int64(scalars, 2) and scalars.shape[1] == 9):
+        return None
+    n = scalars.shape[0]
+    flat = {"scalars": scalars}
+    for vals, lens in RAGGED:
+        v, ln = payload[vals], payload[lens]
+        if not (_is_int64(v, 1) and _is_int64(ln, 1) and ln.size == n
+                and (n == 0 or int(ln.min()) >= 0)
+                and int(ln.sum()) == v.size):
+            return None
+        flat[vals], flat[lens] = v, ln
+    charges = payload["charges"]
+    if observe:
+        if not (isinstance(charges, list) and len(charges) == n):
+            return None
+    elif charges is not None:
+        return None
+    flat["charges"] = charges
+    return flat
+
+
+def build_core_vec(core, pv):
+    """Gather one core's flattened records into per-event replay arrays.
+
+    The records are the core's flattened set (:meth:`ReplayCore.
+    _flat_records`: adopted from a persisted payload, or flattened from
+    this process's resolve); every per-event array is a NumPy gather
+    over the per-event record ids (``core._rec_ids``).  Returns a
+    :class:`CoreVec`, or ``None`` when the records do not fit the plan
+    (e.g. an adopted memo from a stale file): the caller then
+    re-resolves on the scalar path.
+    """
+    ids = core._rec_ids
+    n_events = pv.n_events
+    if ids is None or n_events == 0 or len(ids) != n_events:
+        return None
+    try:
+        return _gather_core_vec(core, pv, core._flat_records(),
+                                np.asarray(ids))
+    except (TypeError, ValueError, IndexError, KeyError, AttributeError,
+            OverflowError):
+        # Structurally inconsistent records (stale/corrupt adoption).
+        return None
+
+
+def _gather_core_vec(core, pv, flat, ids):
     cv = CoreVec()
-    per_record = np.array(scalars, dtype=np.int64).T.copy()
+    per_record = flat["scalars"].T.copy()
     (bid_ev, cv.d_cyc, cv.exit_count, cv.d_floor, cv.d_fin,
      cv.entry_count, cv.floor_key) = per_record[:7, ids]
     if not np.array_equal(bid_ev, pv.ev_bid):
         return None
-    cv.regs_exp, n_live = _ragged(regs, regs_n, ids)
-    def_vals, n_defs = _ragged(defs, defs_n, ids)
+    cv.regs_exp, n_live = _ragged(flat["regs"], flat["regs_n"], ids)
+    def_vals, n_defs = _ragged(flat["defs"], flat["defs_n"], ids)
     if not (np.array_equal(n_live, pv.ev_nlive)
             and np.array_equal(n_defs, np.diff(pv.do_off))):
         return None
     cv.regs_out = np.append(def_vals, _NEG)
-    store_vals, _ = _ragged(stores, stores_n, ids)
-    if store_vals.size != pv.n_store_slots:
+    store_vals, n_stores = _ragged(flat["stores"], flat["stores_n"], ids)
+    if not np.array_equal(n_stores, np.diff(pv.so_off)):
         return None
     cv.stores_out = np.append(store_vals, _NEG)
     cv.ext_exp = np.zeros(pv.mp_g.size, dtype=np.int64)
-    js, per_event = _ragged(ext_j, ext_n, ids)
+    js, per_event = _ragged(flat["ext_j"], flat["ext_n"], ids)
     if js.size:
         g = np.repeat(pv.ev_mem_start, per_event) + js
         idx = np.searchsorted(pv.mp_g, g)
         if int(idx.max()) >= pv.mp_g.size \
                 or not np.array_equal(pv.mp_g[idx], g):
             return None  # external wait with no recorded producer
-        cv.ext_exp[idx] = _ragged(ext_d, ext_n, ids)[0]
+        cv.ext_exp[idx] = _ragged(flat["ext_d"], flat["ext_n"], ids)[0]
     cv.up_ev = cv.up_src = cv.up_slot = cv.units_exp = cv.units_out = None
-    if want_units:
-        up_ev, up_src, up_slot, n_slots = _unit_chains(core, pv)
-        if n_slots:
-            cv.units_exp, _ = _ragged(u_exp, units_n, ids)
-            out_vals, _ = _ragged(u_out, units_n, ids)
-            if cv.units_exp.size != n_slots:
-                return None
+    if core._has_units:
+        up_ev, up_src, up_slot, widths = _unit_chains(core, pv)
+        exp_vals, n_units = _ragged(flat["u_exp"], flat["u_n"], ids)
+        if not np.array_equal(n_units, widths):
+            return None
+        if up_ev.size:
+            out_vals, _ = _ragged(flat["u_out"], flat["u_n"], ids)
             cv.up_ev, cv.up_src, cv.up_slot = up_ev, up_src, up_slot
+            cv.units_exp = exp_vals
             cv.units_out = np.append(out_vals, _NEG)
-    cv.times_flat = (_ragged(times, times_n, ids)[0] if want_times
-                     else None)
+    cv.times_flat = None
+    if core.want_times:
+        cv.times_flat, n_times = _ragged(flat["times"], flat["times_n"],
+                                         ids)
+        if not np.array_equal(n_times, pv.ev_ninstr):
+            return None
 
     # ---- counters: per-record weights times occurrence counts
-    counts = np.bincount(ids, minlength=len(records))
+    counts = np.bincount(ids, minlength=per_record.shape[1])
     n_instrs, kind_of = per_record[7], per_record[8]
     instrs = counts * n_instrs
-    hit = kind_of >= 2
+    hit = kind_of == 2
     cv.memo_hits = int(counts[hit].sum())
     cv.memo_instructions = int(instrs[hit].sum())
     cv.direct_instructions = int(instrs[~hit].sum())
     cv.fallbacks = int(counts[kind_of == 1].sum())
-    cv.persisted_hits = int(counts[kind_of == 3].sum())
+    # Every hit of an adopted record set is served from the payload.
+    cv.persisted_hits = cv.memo_hits if core._adopted else 0
     cv.charges = None
-    if observe:
+    if core.observe:
         # Merged per (class, cause) in first-charge order along the
         # schedule, as a per-event walk would insert them.
+        charges = flat["charges"]
         uniq, first = np.unique(ids, return_index=True)
         counts_of = counts.tolist()
         merged: dict[tuple, int] = {}

@@ -457,6 +457,26 @@ class TestRestoredFlowReport:
         assert reflow["restored"] == reflow["nodes"]
         assert rerun["cache_hits"] == 1 and rerun["cache_misses"] == 0
         assert rerun["memo_hits"] == rerun["memo_misses"] == 0
+        # ... and spends no compile or simulation time.
+        assert engine["sim_seconds"] > 0
+        assert rerun["compile_seconds"] == rerun["sim_seconds"] == 0
+
+    def test_compile_time_counts_the_compile_node(self, tmp_path):
+        from repro.benchmarks import suite
+        from repro.engine.plan import plan_sweep
+        from repro.machine.presets import resolve
+
+        suite.clear_cache()  # so the compile node really compiles
+        plan = plan_sweep(["whet"], [resolve("superscalar:4"),
+                                     resolve("superpipelined:2")])
+        first, fr = _sweep(plan, tmp_path)
+        node = next(n for n in fr.executed if n.startswith("compile:"))
+        assert not fr.values[node]["cached"]
+        assert first.report.compile_seconds >= fr.values[node]["seconds"] > 0
+        again, fr2 = _sweep(plan, tmp_path)
+        assert not fr2.executed
+        assert again.report.compile_seconds == 0
+        assert again.report.sim_seconds == 0
 
 
 # ---------------------------------------------------------------------------

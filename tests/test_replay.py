@@ -196,5 +196,6 @@ class TestBlacklist:
         ).trace
         core = ReplayCore(trace, paper_machines()[0])
         core.run()
-        assert any(core._blacklisted), \
+        assert any(block.eligible and table is None for block, table
+                   in zip(core.plan.blocks, core._tables)), \
             "an eligible block should have been blacklisted"

@@ -153,14 +153,16 @@ class TestVectorizedEqualsScalar:
         assert repaired.stats.vectorized_blocks == repaired.stats.blocks
 
 
-def _reference_core_vec(core, pv):
+def _reference_core_vec(core, pv, adopted=False):
     """The per-event flatten the gather replaced, kept as its oracle:
-    one Python step per schedule event, records -> arrays."""
+    one Python step per schedule event, from the tuple records of the
+    resolving ``core`` to arrays.  With ``adopted``, every memo hit is a
+    persisted one."""
     vec = replay_mod._replay_vec
     np = vec.np
     neg = vec._NEG
     blocks, schedule = core.plan.blocks, core.plan.schedule
-    tables, adopted = core._tables, core._adopted_keys
+    tables = core._tables
     n = pv.n_events
     cv = vec.CoreVec()
     names = ("d_cyc", "entry_count", "exit_count", "d_floor", "floor_key",
@@ -215,8 +217,7 @@ def _reference_core_vec(core, pv):
         else:
             hits += 1
             memo_instr += block.n_instrs
-            persisted += bool(adopted and adopted[bid]
-                              and key in adopted[bid])
+            persisted += adopted
     for name in names:
         setattr(cv, name, scalars[name])
     cv.regs_exp = np.asarray(regs_exp, dtype=np.int64)
@@ -236,10 +237,13 @@ def _reference_core_vec(core, pv):
     return cv
 
 
-def _assert_gather_matches_reference(core):
+def _assert_gather_matches_reference(core, resolver=None):
+    """``core``'s gathered CoreVec equals the per-event reference built
+    from ``resolver``'s records (``core`` itself when it resolved)."""
     pv = core._plan_vec()
     got = replay_mod._replay_vec.build_core_vec(core, pv)
-    want = _reference_core_vec(core, pv)
+    want = _reference_core_vec(resolver or core, pv,
+                               adopted=resolver is not None)
     assert got is not None
     for name in type(want).__slots__:
         mine, ref = getattr(got, name), getattr(want, name)
@@ -289,7 +293,8 @@ class TestGatherEqualsReference:
         core = ReplayCore(trace, config, observe=True)
         assert core.adopt_memo(pickle.loads(pickle.dumps(
             first.export_memo())))
-        _assert_gather_matches_reference(core)
+        assert core._records is None
+        _assert_gather_matches_reference(core, resolver=first)
 
     def test_plan_arrays_round_trip(self):
         vec = replay_mod._replay_vec
@@ -308,6 +313,43 @@ class TestGatherEqualsReference:
                 assert vec.np.array_equal(mine, ref), name
             elif name != "loaded":
                 assert mine == ref, name
+
+
+@requires_numpy
+class TestFlatPayload:
+    """The NumPy memo payload is flat arrays, and adopting it replays
+    exactly what the per-instruction reference does."""
+
+    @pytest.mark.parametrize("mode", ["observe", "want_times"])
+    def test_pickled_payload_adopts_bit_identically(self, mode):
+        np = replay_mod._replay_vec.np
+        trace = _whet_trace()
+        config = resolve("multititan")  # functional-unit conflicts
+        first = ReplayCore(trace, config, **{mode: True})
+        first.run()
+        payload = first.export_memo()
+        header = {"format", "key_format", "mode"}
+        for name, value in payload.items():
+            if name in header:
+                continue
+            if name == "charges" and mode == "observe":
+                assert isinstance(value, list)
+                assert all(c is None or all(len(t) == 3 for t in c)
+                           for c in value)
+            elif name == "charges":
+                assert value is None
+            else:
+                assert isinstance(value, np.ndarray), name
+        core = ReplayCore(trace, config, **{mode: True})
+        assert core.adopt_memo(pickle.loads(pickle.dumps(
+            payload, protocol=pickle.HIGHEST_PROTOCOL)))
+        out = core.run()
+        ref = ReplayCore(trace, config, **{mode: True}).run(memoize=False)
+        assert (out.minor_cycles, out.final_issue, out.stalls,
+                out.times) == (ref.minor_cycles, ref.final_issue,
+                               ref.stalls, ref.times)
+        assert out.stats.vectorized_blocks == out.stats.blocks
+        assert out.stats.memo_persisted_hits == out.stats.memo_hits > 0
 
 
 class TestMemoPersistence:
@@ -338,6 +380,21 @@ class TestMemoPersistence:
         assert store.stats.stores == 0
         if replay_mod.BACKEND == "numpy":
             assert out.stats.vectorized_blocks == out.stats.blocks
+
+    @pytest.mark.skipif(replay_mod.BACKEND != "scalar",
+                        reason="only scalar payloads carry memo tables")
+    def test_entries_learned_after_adoption_are_not_persisted(self):
+        """Hits on table entries a core learned itself after adopting a
+        payload are live hits, not persisted ones."""
+        trace = _whet_trace()
+        config = resolve("superscalar:4")
+        core = ReplayCore(trace, config)
+        # Tables adopted before any run are empty: every entry is
+        # learned live, however often it then hits.
+        assert core.adopt_memo(ReplayCore(trace, config).export_memo())
+        out = core.run()
+        assert out.stats.memo_misses > 0 and out.stats.memo_hits > 0
+        assert out.stats.memo_persisted_hits == 0
 
     def test_stale_payload_is_rejected_not_trusted(self, tmp_path):
         """A structurally valid file whose payload fails deep

@@ -78,14 +78,23 @@ def _same_run(loaded, run) -> bool:
 
 
 def _same_memo(loaded, payload) -> bool:
-    """Equal memo payloads; the flat record-id arrays compare by type,
-    dtype and values."""
-    ids, want = loaded["record_ids"], payload["record_ids"]
-    rest = {k: v for k, v in loaded.items() if k != "record_ids"}
-    return (rest == {k: v for k, v in payload.items() if k != "record_ids"}
-            and type(ids) is type(want)
-            and getattr(ids, "dtype", None) == getattr(want, "dtype", None)
-            and (ids is None or list(ids) == list(want)))
+    """Equal memo payloads; array fields (record ids, flat records)
+    compare by type, dtype, shape and values."""
+    if loaded.keys() != payload.keys():
+        return False
+    for name, want in payload.items():
+        got = loaded[name]
+        if hasattr(want, "dtype") or isinstance(want, array):
+            if not (type(got) is type(want)
+                    and getattr(got, "dtype", None)
+                    == getattr(want, "dtype", None)
+                    and getattr(got, "shape", None)
+                    == getattr(want, "shape", None)
+                    and got.tolist() == want.tolist()):
+                return False
+        elif got != want:
+            return False
+    return True
 
 
 def _flow_entry(value) -> dict:
@@ -383,12 +392,12 @@ def test_trace_key_golden():
 #: memo keys fold in the replay backend, so each backend has its own pin
 MEMO_KEYS = {
     "numpy": (
-        "2e57730fad437a25684d454f1e39f8722499c782cf3ef4e006314927e9a30ab5",
-        "9273c5130f87f31f0ce189aed02a69c737645d4b0a760e5d2dab8814e7696e4c",
+        "13526b31d43b5186e9828cfe123eb8d1249a7f157bf4d7ef78d42562977447b0",
+        "898d4f57500434969e3dd6135f85035aedf62d2b06b7520bdf467983fa9eae00",
     ),
     "scalar": (
-        "a66b40e16119243930e1082098877f9b6056f905ece40b003e22e4778dc8f2bc",
-        "7fcb8f45ebdfa3ea2efb58ae487f36c839f25c04a1ffb483afd1eb7cad324e76",
+        "942e8ca2a5684788e362498630e3d3cf252278faf4aa753e867e5011e0ae2171",
+        "2c7f599b97bd8d521c2654f8375215da12bc036af3037e3cecbfbaf1dfac6a42",
     ),
 }
 
@@ -452,11 +461,11 @@ def _whet_trace() -> Trace:
 
 
 def _records_and_ids(payload, n_events: int):
-    """The payload's records and ids as a list; the scalar backend never
-    resolves, so it gets one placeholder record to point ids at."""
-    if payload["records"] is None:
-        return [("placeholder",)], [0] * n_events
-    return payload["records"], payload["record_ids"].tolist()
+    """The payload's record count and ids as a list; the scalar backend
+    never resolves, so it gets one placeholder record to point ids at."""
+    if payload["record_ids"] is None:
+        return 1, [0] * n_events
+    return payload["scalars"].shape[0], payload["record_ids"].tolist()
 
 
 def _wide_ids(ids: list):
@@ -473,13 +482,24 @@ def _first_entry(payload):
     return table, next(iter(table))
 
 
-def _bump(payload, field: int) -> None:
-    """Add one to a field of the first table entry (0: d_cyc, 6: the
-    completion delta d_fin)."""
-    table, key = _first_entry(payload)
-    entry = list(table[key])
-    entry[field] += 1
-    table[key] = tuple(entry)
+#: ``scalars`` columns of a flat record (NumPy payloads)
+SCALAR_COLUMNS = {"d_cyc": 1, "d_fin": 4, "entry_count": 5}
+#: The same fields in a memo-table entry (scalar payloads)
+ENTRY_FIELDS = {"d_cyc": 0, "d_fin": 6}
+
+
+def _bump(field: str):
+    """Add one to a field of the first record (NumPy) or of the first
+    memo-table entry (scalar)."""
+    def change(payload, n_events):
+        if BACKEND == "numpy":
+            payload["scalars"][0, SCALAR_COLUMNS[field]] += 1
+            return
+        table, key = _first_entry(payload)
+        entry = list(table[key])
+        entry[ENTRY_FIELDS[field]] += 1
+        table[key] = tuple(entry)
+    return change
 
 
 def _resealed(change):
@@ -515,25 +535,52 @@ def _write(raw: bytes):
 
 def _set_ids(make):
     def change(payload, n_events):
-        records, ids = _records_and_ids(payload, n_events)
-        payload["records"] = records
-        payload["record_ids"] = make(records, ids)
+        n_records, ids = _records_and_ids(payload, n_events)
+        payload["record_ids"] = make(n_records, ids)
     return change
 
+
+def _drop_arrays(payload, n_events):
+    """Record ids alone: no flat record arrays (and, under the scalar
+    backend, no tables) beside them."""
+    _set_ids(lambda n, ids: _id_array(ids))(payload, n_events)
+    for name in set(payload) - {"format", "key_format", "mode",
+                                "record_ids"}:
+        del payload[name]
+
+
+def _unbalance_lengths(payload, n_events):
+    payload["regs_n"][0] += 1
+
+
+def _narrow_field(payload, n_events):
+    payload["stores"] = payload["stores"].astype("int32")
+
+
+#: The flat record fields exist only under the NumPy backend.
+_NUMPY_ONLY = pytest.mark.skipif(BACKEND != "numpy",
+                                 reason="scalar payloads hold tables")
 
 DAMAGE = {
     "unreadable": _write(b"\x00not a pickle"),
     "truncated": lambda store, key, n: truncate_entry(store, key),
     "wrong-tag": _write(pickle.dumps({"format": "replay-memo-v0"})),
-    "wrong-id-dtype": _resealed(_set_ids(lambda r, ids: _wide_ids(ids))),
+    "wrong-id-dtype": _resealed(_set_ids(lambda n, ids: _wide_ids(ids))),
     "wrong-id-length": _resealed(_set_ids(
-        lambda r, ids: _id_array(ids[:-1]))),
+        lambda n, ids: _id_array(ids[:-1]))),
     "id-out-of-range": _resealed(_set_ids(
-        lambda r, ids: _id_array([len(r)] + ids[1:]))),
-    "ids-without-records": _resealed(_set_ids(lambda r, ids: None)),
-    "tampered-d_cyc": _rotted(lambda p, n: _bump(p, 0)),
-    "tampered-d_fin": _rotted(lambda p, n: _bump(p, 6)),
+        lambda n, ids: _id_array([n] + ids[1:]))),
+    "ids-without-arrays": _resealed(_drop_arrays),
+    "tampered-d_cyc": _rotted(_bump("d_cyc")),
+    "tampered-d_fin": _rotted(_bump("d_fin")),
+    "lengths-off-by-one": _resealed(_unbalance_lengths),
+    "narrow-field-dtype": _resealed(_narrow_field),
 }
+_DAMAGE_CASES = [
+    pytest.param(name, marks=_NUMPY_ONLY)
+    if name in ("lengths-off-by-one", "narrow-field-dtype") else name
+    for name in sorted(DAMAGE)
+]
 
 
 @pytest.fixture
@@ -559,7 +606,7 @@ def _replay(root, trace, config):
     return out, stats
 
 
-@pytest.mark.parametrize("damage", sorted(DAMAGE))
+@pytest.mark.parametrize("damage", _DAMAGE_CASES)
 def test_bad_memo_entry_is_dropped_and_rewritten(primed_memo, damage):
     trace, config, ref, root, key = primed_memo
     DAMAGE[damage](MemoStore(root), key, len(plan_for(trace).schedule))
@@ -587,9 +634,8 @@ def test_unverifiable_records_cost_a_scalar_re_resolve(primed_memo):
     trace, config, ref, root, key = primed_memo
 
     def change(payload, n_events):
-        records, ids = payload["records"], payload["record_ids"]
-        bid, rkey, entry, kind = records[ids[0]]
-        records[ids[0]] = (bid, (rkey[0] + 1,) + rkey[1:], entry, kind)
+        first = payload["record_ids"][0]
+        payload["scalars"][first, SCALAR_COLUMNS["entry_count"]] += 1
 
     _resealed(change)(MemoStore(root), key, 0)
     out, stats = _replay(root, trace, config)
