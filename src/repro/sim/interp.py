@@ -13,11 +13,13 @@ Trace recording is run-structured (format v2): executor closures append
 only the effective addresses of memory operations; the outer fetch loop
 detects maximal straight-line runs (``next pc == pc + 1``) and records
 one ``(start, length)`` pair per run instead of two list entries per
-dynamic instruction.
+dynamic instruction.  All three streams are ``array('i')`` buffers, the
+trace's own storage, so handing them over copies nothing.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from ..errors import InterpBudgetError, SimulationError
@@ -117,7 +119,7 @@ def run(
                 mem[g.address + i] = value
 
     #: One entry per dynamic memory operation, in execution order.
-    mem_addrs: list[int] = []
+    mem_addrs = array("i")
 
     # Pre-decode every static instruction into an executor closure.
     # Each executor mutates state and returns the next pc.
@@ -238,8 +240,8 @@ def run(
     pc = flat.start
     executed = 0
     budget = max_instructions
-    run_starts: list[int] = []
-    run_lengths: list[int] = []
+    run_starts = array("i")
+    run_lengths = array("i")
     run_start = pc
     run_len = 0
     while pc >= 0:

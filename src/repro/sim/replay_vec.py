@@ -262,7 +262,8 @@ def build_plan_vec(trace, plan, entries, ensure_dataflow, persisted=None):
     ev_mem_start = pv.ev_mem_start
 
     # ---- memory structure: alias ids + cross-block store→load pairs
-    addr = np.asarray(trace.mem_addrs, dtype=np.int64)
+    # A view of the trace's int32 buffer: only sorted and compared.
+    addr = np.frombuffer(trace.mem_addrs, dtype=np.intc)
     if m_total:
         store_pat = {}
         parts = []

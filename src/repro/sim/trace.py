@@ -22,6 +22,17 @@ address chunk, which is what makes the memoized replay in
 :mod:`repro.sim.replay` possible and shrinks pickled traces by an order
 of magnitude.
 
+The three integer streams (``run_starts``, ``run_lengths``,
+``mem_addrs``) are stdlib ``array('i')`` buffers, 4 bytes per element,
+not lists of boxed ints: a trace is replayed on many machines and stays
+memoized for the life of the process, so its footprint is every
+workload's floor.  The constructor (and so :meth:`Trace.from_runs`) and
+unpickling coerce lists to arrays, so list-built traces and cache
+entries written as lists load unchanged; a value outside int32 raises
+:class:`~repro.errors.TraceError`.  Pickles carry the raw buffers, and
+:meth:`Trace.fingerprint` hashes the streams as lists, so keys derived
+from it do not depend on the storage.
+
 The pre-v2 per-event views are kept as materializing properties
 (:attr:`Trace.ops`, :attr:`Trace.addrs`) for code that genuinely wants
 one entry per dynamic instruction.
@@ -31,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -39,6 +51,23 @@ from ..errors import TraceError
 from ..isa.instruction import Instruction
 from ..isa.opcodes import InstrClass
 from ..isa.registers import flat_index
+
+
+def _too_wide(name: str, value) -> TraceError:
+    return TraceError(f"{name} {value} does not fit a 32-bit trace stream")
+
+
+def _int32(values, name: str) -> array:
+    """``values`` as an ``array('i')``: returned as is when it already
+    is one, else copied; a value outside int32 raises
+    :class:`TraceError`."""
+    if isinstance(values, array) and values.typecode == "i":
+        return values
+    try:
+        return array("i", values)
+    except OverflowError:
+        bad = next((v for v in values if not -2**31 <= v < 2**31), "?")
+        raise _too_wide(name, bad) from None
 
 
 @dataclass(slots=True)
@@ -55,9 +84,9 @@ class Trace:
     """
 
     static: list[Instruction]
-    run_starts: list[int] = field(default_factory=list)
-    run_lengths: list[int] = field(default_factory=list)
-    mem_addrs: list[int] = field(default_factory=list)
+    run_starts: array = field(default_factory=lambda: array("i"))
+    run_lengths: array = field(default_factory=lambda: array("i"))
+    mem_addrs: array = field(default_factory=lambda: array("i"))
     n: int = 0
     #: Lazily built replay plan (see :func:`repro.sim.replay.plan_for`);
     #: derived data — never compared, never pickled.
@@ -68,6 +97,11 @@ class Trace:
     #: Cached timing-semantics fingerprint (see :meth:`fingerprint`);
     #: derived data — never compared, never pickled.
     _fp: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.run_starts = _int32(self.run_starts, "run start")
+        self.run_lengths = _int32(self.run_lengths, "run length")
+        self.mem_addrs = _int32(self.mem_addrs, "memory address")
 
     def __len__(self) -> int:
         return self.n
@@ -109,7 +143,10 @@ class Trace:
                     f"({self.static[static_index].op.name}) recorded "
                     "without an effective address"
                 )
-            self.mem_addrs.append(addr)
+            try:
+                self.mem_addrs.append(addr)
+            except OverflowError:
+                raise _too_wide("memory address", addr) from None
         elif addr >= 0:
             raise TraceError(
                 f"non-memory instruction {static_index} "
@@ -194,11 +231,13 @@ class Trace:
                     flat_index(ins.dest) if ins.dest is not None else -1,
                     info.is_load, info.is_store, info.is_cond_branch,
                 )).encode("utf-8"))
-            # The integer streams hash as one pickle: C-speed
-            # serialization, where repr() of a long list is not.
+            # The integer streams hash as one pickle of lists: C-speed
+            # serialization, where repr() of a long list is not, and the
+            # same bytes whatever the streams are stored as.
             h.update(b"|runs|mem|")
             h.update(pickle.dumps(
-                (self.run_starts, self.run_lengths, self.mem_addrs),
+                (self.run_starts.tolist(), self.run_lengths.tolist(),
+                 self.mem_addrs.tolist()),
                 protocol=5))
             fp = h.hexdigest()
             self._fp = fp
@@ -255,9 +294,9 @@ class Trace:
     def from_runs(
         cls,
         static: list[Instruction],
-        run_starts: list[int],
-        run_lengths: list[int],
-        mem_addrs: list[int],
+        run_starts: Sequence[int],
+        run_lengths: Sequence[int],
+        mem_addrs: Sequence[int],
     ) -> "Trace":
         """Build (and validate) a trace directly from its v2 encoding."""
         trace = cls(
@@ -307,3 +346,9 @@ class Trace:
         self._plan = None
         self._skel = None
         self._fp = None
+        # Entries pickled while the streams were lists load as arrays;
+        # one that cannot be coerced is an unreadable pickle.
+        try:
+            self.__post_init__()
+        except TraceError as exc:
+            raise pickle.UnpicklingError(str(exc)) from exc
