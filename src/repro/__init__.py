@@ -14,9 +14,9 @@ The package rebuilds the paper's measurement apparatus end to end:
 * :mod:`repro.benchmarks` — the eight-benchmark suite;
 * :mod:`repro.analysis` — drivers that regenerate every table and figure.
 
-Scripts should use the stable facade :mod:`repro.api`
-(re-exported here), which covers compile/run/simulate/measure/sweep
-without touching internal modules.
+Scripts should use the stable facade :mod:`repro.api` (re-exported
+here, loaded on first use), which covers
+compile/run/simulate/measure/sweep without touching internal modules.
 
 Quickstart::
 
@@ -31,13 +31,14 @@ from __future__ import annotations
 
 __version__ = "1.0.0"
 
-from . import errors, isa, lang, machine, sim
-from .sim.interp import RunResult
+# Nothing is imported eagerly: the subpackages and the facade load on
+# first attribute access (see repro._lazy).
+from . import _lazy
 
-# The facade imports repro.engine, which reads __version__ above, so
-# this import must stay below the version definition.
-from . import api
-from .api import measure, simulate, sweep
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".sim.interp": ("RunResult",),
+    ".api": ("measure", "simulate", "sweep"),
+})
 
 
 def compile_source(source: str, options=None):

@@ -1,11 +1,19 @@
 """Experiment drivers, statistics, and rendering for the paper's exhibits."""
 
-from . import experiments, pipeviz
-from .blockstats import BlockStats, block_stats
-from .experiments import ALL_EXHIBITS, Exhibit, run_all
-from .stats import geometric_mean, harmonic_mean, percent_change
+from .. import _lazy
+
+# The one eager import: ``sweep`` names both a submodule and the function
+# re-exported from it.  Importing the submodule later would rebind the
+# package attribute to the module, so it is bound here, once, to the
+# function.
 from .sweep import SweepRow, summarize, sweep
-from .tables import format_table, line_chart
+
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".blockstats": ("BlockStats", "block_stats"),
+    ".experiments": ("ALL_EXHIBITS", "Exhibit", "run_all"),
+    ".stats": ("geometric_mean", "harmonic_mean", "percent_change"),
+    ".tables": ("format_table", "line_chart"),
+})
 
 __all__ = [
     "ALL_EXHIBITS",

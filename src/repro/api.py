@@ -44,7 +44,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .analysis.sweep import SweepRow, summarize as _summarize_rows
 from .benchmarks import suite as _suite
 from .benchmarks.suite import Benchmark
 from .engine.cache import open_cache
@@ -202,7 +201,9 @@ class SweepResult:
 
     def summary(self) -> str:
         """Machines-by-benchmarks parallelism table with harmonic means."""
-        return _summarize_rows(list(self.rows))
+        from .analysis.sweep import summarize
+
+        return summarize(list(self.rows))
 
     def failures(self) -> tuple[SweepRow, ...]:
         """Rows whose cell exhausted the whole degradation ladder."""
@@ -216,6 +217,28 @@ class SweepResult:
     def ok(self) -> bool:
         """True when no cell ended ``failed``."""
         return not self.failures()
+
+
+def _sweep_result(result) -> SweepResult:
+    """The :class:`SweepResult` of an engine result: one row per cell."""
+    from .analysis.sweep import SweepRow
+
+    rows = tuple(
+        SweepRow(
+            benchmark=c.benchmark,
+            options_label=c.options_label,
+            machine=c.machine,
+            instructions=c.instructions,
+            base_cycles=c.base_cycles,
+            parallelism=c.parallelism,
+            stalls=c.stalls,
+            status=c.status,
+            error=c.error,
+        )
+        for c in result.cells
+    )
+    assert result.report is not None
+    return SweepResult(rows=rows, engine=result.report)
 
 
 def sweep(plan: Plan, *, workers: int = 1, cache_dir: str | None = None,
@@ -265,22 +288,7 @@ def sweep(plan: Plan, *, workers: int = 1, cache_dir: str | None = None,
     result = _execute(plan, workers=workers, cache=cache,
                       recorder=recorder, policy=policy, faults=faults,
                       tracer=tracer, metrics=metrics, progress=progress)
-    rows = tuple(
-        SweepRow(
-            benchmark=c.benchmark,
-            options_label=c.options_label,
-            machine=c.machine,
-            instructions=c.instructions,
-            base_cycles=c.base_cycles,
-            parallelism=c.parallelism,
-            stalls=c.stalls,
-            status=c.status,
-            error=c.error,
-        )
-        for c in result.cells
-    )
-    assert result.report is not None
-    return SweepResult(rows=rows, engine=result.report)
+    return _sweep_result(result)
 
 
 def flow_sweep(plan: Plan, *, cache_dir: str | None = None,
@@ -306,22 +314,7 @@ def flow_sweep(plan: Plan, *, cache_dir: str | None = None,
                                run_id=run_id, workers=workers,
                                policy=policy, faults=faults,
                                recorder=recorder)
-    rows = tuple(
-        SweepRow(
-            benchmark=c.benchmark,
-            options_label=c.options_label,
-            machine=c.machine,
-            instructions=c.instructions,
-            base_cycles=c.base_cycles,
-            parallelism=c.parallelism,
-            stalls=c.stalls,
-            status=c.status,
-            error=c.error,
-        )
-        for c in result.cells
-    )
-    assert result.report is not None
-    return SweepResult(rows=rows, engine=result.report)
+    return _sweep_result(result)
 
 
 def flow_runs(cache_dir: str | None = None) -> list[str]:

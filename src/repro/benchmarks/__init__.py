@@ -1,16 +1,12 @@
 """The eight-benchmark suite (ccom, grr, linpack, livermore, met,
 stanford, whet, yacc)."""
 
-from . import suite
-from .suite import (
-    Benchmark,
-    all_benchmarks,
-    clear_cache,
-    default_options,
-    get,
-    measure,
-    run_benchmark,
-)
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".suite": ("Benchmark", "all_benchmarks", "clear_cache",
+               "default_options", "get", "measure", "run_benchmark"),
+})
 
 __all__ = [
     "Benchmark",

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..machine.config import MachineConfig
-from ..opt.driver import compile_source
 from ..opt.options import CompilerOptions
 from ..sim.interp import RunResult, run
 from ..sim.timing import TimingResult, simulate
@@ -114,6 +113,8 @@ def run_benchmark(
     cached = _RUN_CACHE.get(key)
     if cached is not None:
         return cached
+    from ..opt.driver import compile_source
+
     program = compile_source(benchmark.source(), opts)
     if max_instructions is None:
         result = run(program)

@@ -18,31 +18,20 @@ statistics) is picklable, and results are reassembled in plan order, so
 parallel sweeps are bit-identical to serial ones.
 """
 
-from ..store import CacheStats
-from .cache import (
-    DEFAULT_CACHE_DIR,
-    NULL_TRACE_CACHE,
-    TraceCache,
-    open_cache,
-    trace_key,
-)
-from .executor import (
-    CellResult,
-    EngineReport,
-    EngineResult,
-    execute,
-    prime_runs,
-)
-from .faults import NO_FAULTS, FaultPlan, FaultSpec, InjectedFaultError
-from .plan import Cell, Plan, plan_sweep
-from .resilience import (
-    CELL_STATUSES,
-    CellError,
-    ResourceLimits,
-    RetryPolicy,
-    failure_manifest,
-    install_sigterm_handler,
-)
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    "..store": ("CacheStats",),
+    ".cache": ("DEFAULT_CACHE_DIR", "NULL_TRACE_CACHE", "TraceCache",
+               "open_cache", "trace_key"),
+    ".executor": ("CellResult", "EngineReport", "EngineResult", "execute",
+                  "prime_runs"),
+    ".faults": ("NO_FAULTS", "FaultPlan", "FaultSpec", "InjectedFaultError"),
+    ".plan": ("Cell", "Plan", "plan_sweep"),
+    ".resilience": ("CELL_STATUSES", "CellError", "ResourceLimits",
+                    "RetryPolicy", "failure_manifest",
+                    "install_sigterm_handler"),
+})
 
 __all__ = [
     "CELL_STATUSES",

@@ -24,7 +24,6 @@ Deterministic faults can be injected for testing via
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from ..benchmarks import suite
@@ -423,6 +422,8 @@ def prime_runs(
             _, cached, _ = acquire_run(benchmark, options, disk_cache)
             hits, misses = hits + cached, misses + (not cached)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         cache_root = disk_cache.root if disk_cache.enabled else ""
         payloads = [(i, b, o, cache_root)
                     for i, (b, o) in enumerate(work)]

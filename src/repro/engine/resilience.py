@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import heapq
 import signal
+import sys
 import threading
 import time
 import zlib
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from ..errors import InterpBudgetError, ReproError, ResourceLimitError
@@ -185,11 +184,22 @@ def classify_exception(exc: BaseException) -> str:
         return "budget"
     if isinstance(exc, ResourceLimitError):
         return "rss"
-    if isinstance(exc, BrokenProcessPool):
+    if _is_broken_pool(exc):
         return "crash"
     if isinstance(exc, ReproError):
         return "error"
     return "unknown"
+
+
+def _is_broken_pool(exc: BaseException) -> bool:
+    """Whether ``exc`` is a ``BrokenProcessPool``.
+
+    The pool module (and with it :mod:`multiprocessing`) is imported
+    only by the ``workers > 1`` paths; until one has run, no exception
+    can be a broken pool.
+    """
+    process = sys.modules.get("concurrent.futures.process")
+    return process is not None and isinstance(exc, process.BrokenProcessPool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -489,6 +499,9 @@ def run_supervised(
 
     Returns one :class:`GroupOutcome` per input group, in input order.
     """
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
     del faults  # faults travel inside make_payload; kept for signature clarity
     if validate is None:
         validate = validate_group_payload

@@ -18,30 +18,19 @@ benchmark's source or one machine preset and only the downstream DAG
 slice re-runs.
 """
 
-from .dag import FlowDag, FlowError, FlowNode
-from .engine import (
-    NODE_STATUSES,
-    FlowResult,
-    FlowRunner,
-    journal_completed,
-    run_flow,
-    verify_journal,
-)
-from .flows import SWEEP_RUNNERS, flow_event, run_sweep_flow, sweep_flow
-from .state import (
-    JOURNAL_VERSION,
-    STATE_FORMAT,
-    FlowStateStore,
-    Journal,
-    JournalError,
-    flow_root,
-    journal_path,
-    list_runs,
-    new_run_id,
-    read_journal,
-    runs_dir,
-    state_dir,
-)
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".dag": ("FlowDag", "FlowError", "FlowNode"),
+    ".engine": ("NODE_STATUSES", "FlowResult", "FlowRunner",
+                "journal_completed", "run_flow", "verify_journal"),
+    ".flows": ("SWEEP_RUNNERS", "flow_event", "run_sweep_flow",
+               "sweep_flow"),
+    ".state": ("JOURNAL_VERSION", "STATE_FORMAT", "FlowStateStore",
+               "Journal", "JournalError", "flow_root", "journal_path",
+               "list_runs", "new_run_id", "read_journal", "runs_dir",
+               "state_dir"),
+})
 
 __all__ = [
     "FlowDag",

@@ -1,38 +1,19 @@
 """The MultiTitan-like RISC instruction set and program representation."""
 
-from .instruction import Instruction, MemRef
-from .opcodes import (
-    COMPARE_IMM_FORM,
-    SIMPLE_CLASSES,
-    TERMINATORS,
-    InstrClass,
-    Opcode,
-    OpcodeInfo,
-)
-from .program import (
-    BasicBlock,
-    Function,
-    GlobalVar,
-    Program,
-    compute_dominators,
-    loop_depths,
-    natural_loops,
-)
-from .printer import format_function, format_instruction, format_program
-from .registers import (
-    ARG_REGS,
-    RA,
-    RV,
-    SCRATCH0,
-    SCRATCH1,
-    SP,
-    ZERO,
-    Reg,
-    RegisterFileSpec,
-    VirtualRegAllocator,
-    virtual,
-)
-from . import build
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".instruction": ("Instruction", "MemRef"),
+    ".opcodes": ("COMPARE_IMM_FORM", "SIMPLE_CLASSES", "TERMINATORS",
+                 "InstrClass", "Opcode", "OpcodeInfo"),
+    ".program": ("BasicBlock", "Function", "GlobalVar", "Program",
+                 "compute_dominators", "loop_depths", "natural_loops"),
+    ".printer": ("format_function", "format_instruction",
+                 "format_program"),
+    ".registers": ("ARG_REGS", "RA", "RV", "SCRATCH0", "SCRATCH1", "SP",
+                   "ZERO", "Reg", "RegisterFileSpec", "VirtualRegAllocator",
+                   "virtual"),
+})
 
 __all__ = [
     "ARG_REGS",

@@ -1,10 +1,13 @@
 """The Tin mini-language front end (stands in for Modula-2 / C)."""
 
-from . import ast
-from .codegen import finalize_frames, generate
-from .lexer import tokenize
-from .parser import parse
-from .semantics import ModuleInfo, ProcInfo, VarInfo, check
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".codegen": ("finalize_frames", "generate"),
+    ".lexer": ("tokenize",),
+    ".parser": ("parse",),
+    ".semantics": ("ModuleInfo", "ProcInfo", "VarInfo", "check"),
+})
 
 __all__ = [
     "ModuleInfo",

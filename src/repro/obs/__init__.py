@@ -37,58 +37,28 @@ Everything here is opt-in: with no recorder/profile passed, the hot
 paths run the exact same code as before this layer existed.
 """
 
-from .dash import render_dashboard, write_dashboard
-from .diff import DiffEntry, DiffPolicy, DiffResult, diff_payloads
-from .history import (
-    DEFAULT_LEDGER_PATH,
-    HistoryLedger,
-    IngestResult,
-    LedgerError,
-    default_ledger_path,
-    fingerprint_payload,
-    payload_from_bench,
-    payload_from_events,
-)
-from .live import ProgressLine
-from .metrics import (
-    NULL_METRICS,
-    Histogram,
-    MetricsRegistry,
-    NullMetrics,
-    active_metrics,
-)
-from .profile import (
-    NULL_PROFILE,
-    CompileProfile,
-    PassStat,
-    SchedStats,
-    program_size,
-)
-from .recorder import (
-    EVENT_SCHEMA,
-    NULL_RECORDER,
-    SCHEMA_VERSION,
-    JsonlRecorder,
-    NullRecorder,
-    Recorder,
-    active_recorder,
-    read_jsonl,
-    read_jsonl_tolerant,
-)
-from .resource import ResourceSampler, cpu_seconds, max_rss_mb, rss_mb
-from .stalls import STALL_CAUSES, StallBreakdown
-from .trace import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    active_tracer,
-    chrome_trace,
-    emit_span_events,
-    profile_tree,
-    spans_from_events,
-    write_chrome_trace,
-)
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".dash": ("render_dashboard", "write_dashboard"),
+    ".diff": ("DiffEntry", "DiffPolicy", "DiffResult", "diff_payloads"),
+    ".history": ("DEFAULT_LEDGER_PATH", "HistoryLedger", "IngestResult",
+                 "LedgerError", "default_ledger_path", "fingerprint_payload",
+                 "payload_from_bench", "payload_from_events"),
+    ".live": ("ProgressLine",),
+    ".metrics": ("NULL_METRICS", "Histogram", "MetricsRegistry",
+                 "NullMetrics", "active_metrics"),
+    ".profile": ("NULL_PROFILE", "CompileProfile", "PassStat", "SchedStats",
+                 "program_size"),
+    ".recorder": ("EVENT_SCHEMA", "NULL_RECORDER", "SCHEMA_VERSION",
+                  "JsonlRecorder", "NullRecorder", "Recorder",
+                  "active_recorder", "read_jsonl", "read_jsonl_tolerant"),
+    ".resource": ("ResourceSampler", "cpu_seconds", "max_rss_mb", "rss_mb"),
+    ".stalls": ("STALL_CAUSES", "StallBreakdown"),
+    ".trace": ("NULL_TRACER", "NullTracer", "Span", "Tracer",
+               "active_tracer", "chrome_trace", "emit_span_events",
+               "profile_tree", "spans_from_events", "write_chrome_trace"),
+})
 
 __all__ = [
     "DEFAULT_LEDGER_PATH",

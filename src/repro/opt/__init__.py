@@ -1,18 +1,20 @@
 """Optimization passes and the compile-pipeline driver."""
 
-from .alias import bind_array_parameters, may_conflict
-from .cleanup import cleanup_control_flow, remove_redundant_jumps, thread_jumps
-from .dataflow import Liveness, liveness
-from .driver import compile_module, compile_source
-from .globalopt import loop_invariant_code_motion
-from .local import dead_code_elimination, value_number_function
-from .options import AliasLevel, CompilerOptions, OptLevel
-from .regalloc import (
-    AllocationStats,
-    assign_temporaries,
-    promote_variables,
-)
-from .unroll import UnrollStats, unroll_module
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".alias": ("bind_array_parameters", "may_conflict"),
+    ".cleanup": ("cleanup_control_flow", "remove_redundant_jumps",
+                 "thread_jumps"),
+    ".dataflow": ("Liveness", "liveness"),
+    ".driver": ("compile_module", "compile_source"),
+    ".globalopt": ("loop_invariant_code_motion",),
+    ".local": ("dead_code_elimination", "value_number_function"),
+    ".options": ("AliasLevel", "CompilerOptions", "OptLevel"),
+    ".regalloc": ("AllocationStats", "assign_temporaries",
+                  "promote_variables"),
+    ".unroll": ("UnrollStats", "unroll_module"),
+})
 
 __all__ = [
     "AliasLevel",

@@ -11,10 +11,13 @@ or the CLI's ``--scheduler``; every backend's output is checked by
 remain the historical list-scheduler entry points.
 """
 
-from . import registry, validate
-from .dag import DepDAG, build_dag
-from .listsched import schedule_block, schedule_function
-from .registry import SchedulerBackend
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".dag": ("DepDAG", "build_dag"),
+    ".listsched": ("schedule_block", "schedule_function"),
+    ".registry": ("SchedulerBackend",),
+})
 
 __all__ = [
     "DepDAG",

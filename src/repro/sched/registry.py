@@ -27,6 +27,7 @@ schedules produced by different backends.
 from __future__ import annotations
 
 import abc
+import importlib
 import time
 
 from ..errors import SchedulingError
@@ -114,14 +115,27 @@ class SchedulerBackend(abc.ABC):
 
 _REGISTRY: dict[str, SchedulerBackend] = {}
 
+#: The bundled backends and the modules that register them.  A module is
+#: imported only when its backend is first looked up, so listing or
+#: validating names loads no scheduler.
+_BUNDLED = {"exact": "exact", "list": "listsched", "swp": "swp"}
+
 #: Name used when ``CompilerOptions`` doesn't pin a backend explicitly.
 _DEFAULT_NAME = "list"
+
+
+def _load(name: str) -> None:
+    """Import the bundled module that registers ``name``, if any."""
+    module = _BUNDLED.get(name)
+    if module is not None and name not in _REGISTRY:
+        importlib.import_module(f".{module}", __package__)
 
 
 def register(backend: SchedulerBackend) -> SchedulerBackend:
     """Add a backend to the registry; its ``name`` must be unique."""
     if not backend.name:
         raise ValueError("scheduler backend needs a non-empty name")
+    _load(backend.name)
     if backend.name in _REGISTRY:
         raise ValueError(
             f"duplicate scheduler backend {backend.name!r}"
@@ -130,15 +144,9 @@ def register(backend: SchedulerBackend) -> SchedulerBackend:
     return backend
 
 
-def _ensure_loaded() -> None:
-    """Import the bundled backend modules (they self-register)."""
-    from . import exact, listsched, swp  # noqa: F401
-
-
 def names() -> list[str]:
-    """Registered backend names, sorted."""
-    _ensure_loaded()
-    return sorted(_REGISTRY)
+    """Registered backend names (bundled ones included), sorted."""
+    return sorted(_REGISTRY.keys() | _BUNDLED.keys())
 
 
 def get(name: str) -> SchedulerBackend:
@@ -148,21 +156,19 @@ def get(name: str) -> SchedulerBackend:
     backends when ``name`` is unknown — the CLI surfaces this message
     verbatim.
     """
-    _ensure_loaded()
+    _load(name)
     backend = _REGISTRY.get(name)
     if backend is None:
         raise SchedulingError(
             f"unknown scheduler backend {name!r} "
-            f"(registered: {', '.join(sorted(_REGISTRY))})"
+            f"(registered: {', '.join(names())})"
         )
     return backend
 
 
 def descriptions() -> dict[str, str]:
     """``{name: one-line description}`` for every registered backend."""
-    _ensure_loaded()
-    return {name: _REGISTRY[name].description
-            for name in sorted(_REGISTRY)}
+    return {name: get(name).description for name in names()}
 
 
 def get_default() -> str:

@@ -1,16 +1,16 @@
 """Functional and timing simulation."""
 
-from .cache import (
-    CacheConfig,
-    CacheResult,
-    ICacheResult,
-    simulate_with_cache,
-    simulate_with_icache,
-)
-from .interp import RunResult, flatten, run
-from .limits import branch_inhibition, dataflow_limit, simulate_out_of_order
-from .timing import TimingResult, issue_schedule, parallelism, simulate
-from .trace import Trace
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), {
+    ".cache": ("CacheConfig", "CacheResult", "ICacheResult",
+               "simulate_with_cache", "simulate_with_icache"),
+    ".interp": ("RunResult", "flatten", "run"),
+    ".limits": ("branch_inhibition", "dataflow_limit",
+                "simulate_out_of_order"),
+    ".timing": ("TimingResult", "issue_schedule", "parallelism", "simulate"),
+    ".trace": ("Trace",),
+})
 
 __all__ = [
     "CacheConfig",

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -68,6 +69,24 @@ def _int32(values, name: str) -> array:
     except OverflowError:
         bad = next((v for v in values if not -2**31 <= v < 2**31), "?")
         raise _too_wide(name, bad) from None
+
+
+#: Every byte value whose top bit is clear.
+_SIGN_CLEAR = bytes(range(0x80))
+
+
+def _any_negative(values: array) -> bool:
+    """Whether an int array holds a negative value, at C speed.
+
+    The sign bit of a two's-complement item is the top bit of its most
+    significant byte: copy those bytes out with one strided slice and
+    delete every byte whose top bit is clear.  (``min()`` would box
+    every item into a Python int, as slow as a Python loop.)
+    """
+    size = values.itemsize
+    high = size - 1 if sys.byteorder == "little" else 0
+    msb = bytes(memoryview(values).cast("B")[high::size])
+    return bool(msb.translate(None, _SIGN_CLEAR))
 
 
 @dataclass(slots=True)
@@ -286,9 +305,10 @@ class Trace:
                 f"{n_mem} dynamic memory operations but "
                 f"{len(self.mem_addrs)} recorded addresses"
             )
-        for addr in self.mem_addrs:
-            if addr < 0:
-                raise TraceError(f"negative effective address {addr}")
+        addrs = self.mem_addrs
+        if _any_negative(addrs):
+            first = next(addr for addr in addrs if addr < 0)
+            raise TraceError(f"negative effective address {first}")
 
     @classmethod
     def from_runs(

@@ -117,6 +117,51 @@ class TestOutOfRange:
         assert cache.stats.corrupt == 1
 
 
+class TestNegativeAddress:
+    """``validate`` finds a negative address from the items' sign bytes
+    and reports the first one, whatever the storage."""
+
+    MESSAGE = "^negative effective address -8$"
+
+    def _trace(self, mem_addrs):
+        static = [build.lw(virtual(1), virtual(100), 8),
+                  build.alui(Opcode.ADDI, virtual(2), virtual(1), 1)]
+        return Trace(static=static, run_starts=[0, 0, 0],
+                     run_lengths=[2, 2, 2], mem_addrs=mem_addrs, n=6)
+
+    def test_non_negative_addresses_pass(self):
+        # 0x7fffff80 and 0x00ff00ff set the top bit of their low bytes.
+        self._trace(array("i", [2**31 - 1, 0x7fffff80, 0x00ff00ff]))\
+            .validate()
+        self._trace(array("i", [16, 0, 0])).validate()
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("value", [-1, -2**31, -256])
+    def test_any_negative_position_and_magnitude(self, position, value):
+        addrs = [16, 24, 32]
+        addrs[position] = value
+        with pytest.raises(TraceError,
+                           match=f"^negative effective address {value}$"):
+            self._trace(array("i", addrs)).validate()
+
+    def test_array_built_trace_reports_first_negative(self):
+        trace = self._trace(array("i", [16, -8, -12]))
+        with pytest.raises(TraceError, match=self.MESSAGE):
+            trace.validate()
+
+    def test_list_state_pickle_reports_first_negative(self, monkeypatch):
+        trace = self._trace([16, 24, 32])
+        monkeypatch.setattr(
+            Trace, "__getstate__",
+            lambda self: _list_state(self)[:3] + ([16, -8, -12], self.n))
+        blob = pickle.dumps(trace)
+        monkeypatch.undo()
+        loaded = pickle.loads(blob)
+        assert isinstance(loaded.mem_addrs, array)
+        with pytest.raises(TraceError, match=self.MESSAGE):
+            loaded.validate()
+
+
 class TestListEraCacheEntries:
     def test_list_pickle_loads_validates_and_replays_identically(
             self, tmp_path, monkeypatch):
