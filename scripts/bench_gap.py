@@ -12,14 +12,13 @@ sound; the script exits 1 if one appears.
 Results go to ``BENCH_gap.json`` (see ``--output``).  ``--report-dir``
 additionally writes one JSONL run report per backend
 (``report_<backend>.jsonl``) — CI diffs those with ``repro diff`` to
-assert exact <= list cell-wise.  ``--ledger`` ingests the document into
-the run-history ledger.
+assert exact <= list cell-wise.
 
 Usage::
 
     python scripts/bench_gap.py [--benchmarks a,b,...]
         [--machines spec ...] [--schedulers list exact ...]
-        [--output PATH] [--report-dir DIR] [--ledger PATH] [--workers N]
+        [--output PATH] [--report-dir DIR] [--workers N]
         [--flow] [--cache-dir DIR]
 
 ``--flow`` routes each backend's grid through the checkpointed
@@ -64,9 +63,6 @@ def main(argv=None) -> int:
     parser.add_argument("--report-dir", metavar="DIR", default=None,
                         help="also write one JSONL run report per "
                              "backend (report_<backend>.jsonl)")
-    parser.add_argument("--ledger", metavar="PATH",
-                        help="also ingest the document into this "
-                             "run-history ledger")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--flow", action="store_true",
                         help="run each backend grid as a checkpointed "
@@ -80,11 +76,8 @@ def main(argv=None) -> int:
     from repro.engine.executor import execute
     from repro.engine.plan import plan_sweep
     from repro.machine.presets import resolve
-    from repro.obs.recorder import (
-        NULL_RECORDER,
-        SCHEMA_VERSION,
-        JsonlRecorder,
-    )
+    from repro.obs.recorder import NULL_RECORDER, JsonlRecorder
+    from repro.obs.schema import SCHEMA_VERSION
 
     names = [b for b in args.benchmarks.replace(",", " ").split() if b]
     machines = [resolve(spec) for spec in args.machines]
@@ -167,13 +160,6 @@ def main(argv=None) -> int:
     frac_text = "n/a" if frac != frac else f"{frac:.1%}"
     print(f"wrote {args.output}: heuristic optimal on {frac_text} "
           f"of cells")
-
-    if args.ledger:
-        from repro.obs.history import HistoryLedger
-
-        with HistoryLedger(args.ledger) as ledger:
-            result = ledger.ingest_bench(document, source=args.output)
-        print(f"ledger {args.ledger}: {result.summary()}")
 
     if not report.ok:
         print("FAIL: 'exact' exceeded the baseline on some cell "

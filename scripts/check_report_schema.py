@@ -7,7 +7,7 @@ All schema knowledge (event names, required fields, conservation laws)
 lives in ``src/repro/obs/schema.py`` — one shared stdlib-only module.
 This script loads it **by file path**, so CI can validate a report
 without installing the package, and ``tests/test_obs_report.py`` pins
-the re-exported schema against ``repro.obs.recorder.EVENT_SCHEMA`` so
+the re-exported schema against ``repro.obs.schema.EVENT_SCHEMA`` so
 the emitters and the validator can never drift.
 """
 

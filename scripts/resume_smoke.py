@@ -5,11 +5,11 @@ For each chosen kill point the harness runs ``repro suite --flow`` in a
 subprocess with a ``kill@<ordinal>`` fault (the engine SIGKILLs itself
 right after journaling that node), resumes the run with ``repro
 resume``, and diffs the resumed JSONL report against an uninterrupted
-baseline with ``repro diff --max-regression 0`` — any gated metric
-difference fails the harness.  One extra scenario tears a checkpoint
-mid-write (``torn-write@<ordinal>``) before the kill, proving that
-resume re-executes a node whose journal entry says "complete" but whose
-checkpoint did not survive.
+baseline with ``repro diff`` — any gated metric difference fails the
+harness (deterministic metrics are gated at zero tolerance).  One extra
+scenario tears a checkpoint mid-write (``torn-write@<ordinal>``) before
+the kill, proving that resume re-executes a node whose journal entry
+says "complete" but whose checkpoint did not survive.
 
 The run journals are also parsed directly to assert the resume
 re-executed *only* nodes without a valid checkpoint: for a pure kill,
@@ -113,8 +113,7 @@ def run_scenario(label, faults, *, suite_args, workdir, baseline,
         return record
 
     diff = repro(
-        ["diff", baseline, report,
-         "--max-regression", "0", "--seconds-tolerance", "1000"],
+        ["diff", baseline, report, "--seconds-tolerance", "1000"],
         workdir=workdir,
     )
     record["diff_rc"] = diff.returncode

@@ -1,79 +1,16 @@
-"""Dev helper: validate one benchmark across compile configurations,
-or gate simulator throughput against the committed baseline.
+"""Dev helper: validate one benchmark across compile configurations.
 
 Usage::
 
     python scripts/validate_bench.py <name> [quick]
-    python scripts/validate_bench.py --throughput CANDIDATE.json
-        [--baseline BENCH_sim.json] [--max-regression 0.10]
 
-The first form compiles and runs one suite benchmark under every
-optimization level (plus unroll variants unless ``quick``) and checks
-the result checksum each time.
-
-The second form compares a freshly measured ``BENCH_sim.json`` (produced
-by ``scripts/bench_sim.py``) against the committed baseline and fails —
-exit status 1 — when warm-replay throughput (``modes.warm.instr_per_sec``)
-regresses by more than ``--max-regression`` (default 10%).  Other modes
-are reported informationally but do not gate, since only the warm path
-is the steady-state cost every later replay pays.
-
-The gate logic itself lives in ``src/repro/obs/schema.py`` (one shared
-module with the report-schema validators), loaded here by file path so
-the script still runs without the package installed; ``repro diff``
-applies the same policy to ledger entries and whole run reports.
+Compiles and runs one suite benchmark under every optimization level
+(plus unroll variants unless ``quick``) and checks the result checksum
+each time.
 """
 
 import argparse
-import importlib.util
-import json
-import sys
 import time
-from pathlib import Path
-
-_SCHEMA_PATH = (Path(__file__).resolve().parent.parent
-                / "src" / "repro" / "obs" / "schema.py")
-
-
-def _load_schema():
-    spec = importlib.util.spec_from_file_location("_repro_obs_schema",
-                                                  _SCHEMA_PATH)
-    assert spec is not None and spec.loader is not None
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_schema = _load_schema()
-
-# Re-exports (scripts/bench_sim.py imports these from here).
-GATED_MODE = _schema.GATED_MODE
-DEFAULT_MAX_REGRESSION = _schema.DEFAULT_MAX_REGRESSION
-check_throughput = _schema.check_throughput
-
-
-def _cmd_throughput(args) -> int:
-    try:
-        with open(args.throughput, encoding="utf-8") as handle:
-            candidate = json.load(handle)
-        with open(args.baseline, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-    except (OSError, ValueError) as exc:
-        print(f"FAIL: cannot load benchmark documents: {exc}",
-              file=sys.stderr)
-        return 1
-    failures, lines = check_throughput(
-        candidate, baseline, args.max_regression
-    )
-    print(f"throughput gate: {args.throughput} vs {args.baseline} "
-          f"(max regression {args.max_regression:.0%} on "
-          f"'{GATED_MODE}')")
-    for line in lines:
-        print(line)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    print("PASS" if not failures else f"FAIL ({len(failures)})")
-    return 1 if failures else 0
 
 
 def _cmd_validate(args) -> int:
@@ -117,26 +54,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0]
     )
-    parser.add_argument("name", nargs="?",
+    parser.add_argument("name",
                         help="benchmark to validate across compile configs")
     parser.add_argument("quick", nargs="?", choices=["quick"],
                         help="skip the slower unroll configurations")
-    parser.add_argument("--throughput", metavar="CANDIDATE",
-                        help="gate a fresh BENCH_sim.json against the "
-                             "committed baseline instead of validating "
-                             "a benchmark")
-    parser.add_argument("--baseline", default="BENCH_sim.json",
-                        help="baseline document for --throughput "
-                             "(default: committed BENCH_sim.json)")
-    parser.add_argument("--max-regression", type=float,
-                        default=DEFAULT_MAX_REGRESSION,
-                        help="allowed fractional warm-throughput drop "
-                             "(default 0.10)")
     args = parser.parse_args(argv)
-    if args.throughput:
-        return _cmd_throughput(args)
-    if not args.name:
-        parser.error("either a benchmark name or --throughput is required")
     return _cmd_validate(args)
 
 

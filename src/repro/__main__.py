@@ -31,14 +31,16 @@ Commands
     Self-profile a JSONL run report's span events: an aggregated
     time-per-phase tree, cache/memo hit rates and retry counts, plus
     optional Chrome trace-event export (``--chrome``) for Perfetto.
-``ingest <report.jsonl | BENCH_sim.json> [...]``
-    Ingest run reports / bench documents into the run-history ledger
+``ingest <report.jsonl> [...]``
+    Ingest JSONL run reports into the run-history ledger
     (``results/history.sqlite`` by default; content-addressed, so
     re-ingesting the same run is a no-op).
 ``diff <A> <B>``
-    Per-cell, per-metric regression diff between two reports, bench
-    documents, or ledger entries (``latest``, ``latest~1``, an id, or a
-    fingerprint prefix).  Exits nonzero iff a gated metric regressed.
+    Per-cell, per-metric regression diff between two run reports or
+    ledger entries (``latest``, ``latest~1``, an id, or a fingerprint
+    prefix).  Exits nonzero iff a gated metric regressed.  Throughput
+    is not a ledger metric: ``bench/run.py`` measures it and
+    ``BENCHMARK.json`` declares its bounds (the one bench document).
 ``dash``
     Render the whole ledger as one self-contained static HTML
     dashboard (no network, no external assets).
@@ -313,12 +315,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ingest = sub.add_parser(
         "ingest",
-        help="ingest run reports / bench documents into the ledger",
+        help="ingest run reports into the ledger",
     )
     p_ingest.add_argument(
         "inputs", nargs="+", metavar="PATH",
-        help="JSONL run reports (.jsonl) and/or BENCH_sim documents "
-             "(.json)",
+        help="JSONL run reports (.jsonl)",
     )
     _add_ledger_flag(p_ingest)
 
@@ -327,16 +328,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="regression-diff two runs (files or ledger references)",
     )
     p_diff.add_argument(
-        "a", help="baseline: a .jsonl report, a .json bench document, "
-                  "or a ledger reference (id, 'latest', 'latest~N', "
-                  "fingerprint prefix)")
+        "a", help="baseline: a .jsonl run report or a ledger reference "
+                  "(id, 'latest', 'latest~N', fingerprint prefix)")
     p_diff.add_argument("b", help="candidate (same forms as the baseline)")
     _add_ledger_flag(p_diff)
-    p_diff.add_argument(
-        "--max-regression", type=float, default=None, metavar="FRAC",
-        help="allowed fractional throughput drop for bench modes "
-             "(default 0.10)",
-    )
     p_diff.add_argument(
         "--seconds-tolerance", type=float, default=None, metavar="FRAC",
         help="relative band inside which wall-clock changes are ignored "
@@ -528,7 +523,7 @@ def _cmd_run(args) -> int:
 def _measure_benchmarks(args) -> int:
     """`repro measure linpack,whet`: suite benchmarks through the engine."""
     from .analysis.sweep import summarize, sweep
-    from .obs.recorder import SCHEMA_VERSION
+    from .obs.schema import SCHEMA_VERSION
     from .obs.report import render_stall_table
 
     benchmarks = _parse_benchmarks([args.target])
@@ -623,7 +618,7 @@ def _cmd_measure(args) -> int:
         return 0
 
     from .obs.profile import CompileProfile
-    from .obs.recorder import SCHEMA_VERSION
+    from .obs.schema import SCHEMA_VERSION
     from .obs.report import (
         emit_compile_events,
         render_profile_table,
@@ -740,7 +735,7 @@ def _run_suite(args, bench_names, machines, *, profile, use_flow,
 
     with _open_recorder(getattr(args, "report", None)) as recorder:
         if recorder.enabled:
-            from .obs.recorder import SCHEMA_VERSION
+            from .obs.schema import SCHEMA_VERSION
 
             recorder.emit("run_start", schema=SCHEMA_VERSION,
                           run_id="suite",
@@ -1123,23 +1118,25 @@ def _cmd_ingest(args) -> int:
     """``repro ingest``: file(s) -> the run-history ledger."""
     from .obs.history import LedgerError
 
+    try:
+        ledger = _open_ledger(args)
+    except LedgerError as exc:  # e.g. a ledger of an older layout
+        print(f"ingest: {exc}", file=sys.stderr)
+        return 2
     status = 0
-    with _open_ledger(args) as ledger:
+    with ledger:
         for path in args.inputs:
             if not os.path.exists(path):
                 print(f"ingest: {path}: no such file", file=sys.stderr)
                 status = 1
                 continue
+            if not path.endswith(".jsonl"):
+                print(f"ingest: {path}: expected a .jsonl run report",
+                      file=sys.stderr)
+                status = 1
+                continue
             try:
-                if path.endswith(".jsonl"):
-                    result = ledger.ingest_report(path)
-                elif path.endswith(".json"):
-                    result = ledger.ingest_bench(path)
-                else:
-                    print(f"ingest: {path}: expected a .jsonl run report"
-                          " or a .json bench document", file=sys.stderr)
-                    status = 1
-                    continue
+                result = ledger.ingest_report(path)
             except (LedgerError, ValueError, OSError) as exc:
                 print(f"ingest: {path}: {exc}", file=sys.stderr)
                 status = 1
@@ -1157,13 +1154,9 @@ def _cmd_diff(args) -> int:
     from .obs.history import LedgerError
 
     policy = DiffPolicy(warn_only=args.warn_only)
-    overrides = {}
-    if args.max_regression is not None:
-        overrides["max_regression"] = args.max_regression
     if args.seconds_tolerance is not None:
-        overrides["seconds_tolerance"] = args.seconds_tolerance
-    if overrides:
-        policy = dataclasses.replace(policy, **overrides)
+        policy = dataclasses.replace(
+            policy, seconds_tolerance=args.seconds_tolerance)
 
     needs_ledger = not (os.path.exists(args.a) and os.path.exists(args.b))
     try:

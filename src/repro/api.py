@@ -339,16 +339,17 @@ def ledger(path: str | None = None):
 
 
 def ingest(source: str, *, ledger_path: str | None = None):
-    """Ingest one run report (``.jsonl``) or bench document (``.json``)
-    into the ledger; returns the
-    :class:`~repro.obs.history.IngestResult`.
+    """Ingest one JSONL run report (``.jsonl``) into the ledger; returns
+    the :class:`~repro.obs.history.IngestResult`.
 
     Ingestion is content-addressed: re-ingesting the same run (or an
-    identical rerun of the same configuration) is a no-op.
+    identical rerun of the same configuration) is a no-op.  Any other
+    extension raises :class:`ValueError`; throughput lives in
+    ``bench/run.py``, not in the ledger.
     """
+    if not source.endswith(".jsonl"):
+        raise ValueError(f"{source}: expected a .jsonl run report")
     with ledger(ledger_path) as db:
-        if source.endswith(".json"):
-            return db.ingest_bench(source)
         return db.ingest_report(source)
 
 
@@ -357,7 +358,7 @@ def diff(a: str, b: str, *, ledger_path: str | None = None,
     """Regression-diff two runs; returns a
     :class:`~repro.obs.diff.DiffResult` (check ``.ok`` / ``.render()``).
 
-    ``a`` (baseline) and ``b`` (candidate) are report/bench file paths
+    ``a`` (baseline) and ``b`` (candidate) are ``.jsonl`` report paths
     or ledger references (``latest``, ``latest~N``, a numeric id, or a
     fingerprint prefix); ``policy`` is an optional
     :class:`~repro.obs.diff.DiffPolicy`.

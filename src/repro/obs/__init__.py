@@ -22,8 +22,9 @@ pipeline:
 * :mod:`repro.obs.report` — machine-readable run reports over the
   benchmark suite and their ASCII rendering;
 * :mod:`repro.obs.schema` — the one shared home of the run-report
-  event schema and its validators (also loaded standalone by the CI
-  scripts);
+  event schema (:data:`EVENT_SCHEMA`, :data:`SCHEMA_VERSION`) and its
+  validators (also loaded standalone by
+  ``scripts/check_report_schema.py``);
 * :mod:`repro.obs.resource` — per-process RSS/CPU telemetry
   (:class:`ResourceSampler`);
 * :mod:`repro.obs.history` — the content-addressed run-history ledger
@@ -44,16 +45,17 @@ __getattr__, __dir__ = _lazy.exports(__name__, globals(), {
     ".diff": ("DiffEntry", "DiffPolicy", "DiffResult", "diff_payloads"),
     ".history": ("DEFAULT_LEDGER_PATH", "HistoryLedger", "IngestResult",
                  "LedgerError", "default_ledger_path", "fingerprint_payload",
-                 "payload_from_bench", "payload_from_events"),
+                 "payload_from_events"),
     ".live": ("ProgressLine",),
     ".metrics": ("NULL_METRICS", "Histogram", "MetricsRegistry",
                  "NullMetrics", "active_metrics"),
     ".profile": ("NULL_PROFILE", "CompileProfile", "PassStat", "SchedStats",
                  "program_size"),
-    ".recorder": ("EVENT_SCHEMA", "NULL_RECORDER", "SCHEMA_VERSION",
-                  "JsonlRecorder", "NullRecorder", "Recorder",
-                  "active_recorder", "read_jsonl", "read_jsonl_tolerant"),
+    ".recorder": ("NULL_RECORDER", "JsonlRecorder", "NullRecorder",
+                  "Recorder", "active_recorder", "read_jsonl",
+                  "read_jsonl_tolerant"),
     ".resource": ("ResourceSampler", "cpu_seconds", "max_rss_mb", "rss_mb"),
+    ".schema": ("EVENT_SCHEMA", "SCHEMA_VERSION"),
     ".stalls": ("STALL_CAUSES", "StallBreakdown"),
     ".trace": ("NULL_TRACER", "NullTracer", "Span", "Tracer",
                "active_tracer", "chrome_trace", "emit_span_events",
@@ -100,7 +102,6 @@ __all__ = [
     "emit_span_events",
     "fingerprint_payload",
     "max_rss_mb",
-    "payload_from_bench",
     "payload_from_events",
     "profile_tree",
     "program_size",

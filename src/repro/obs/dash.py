@@ -8,11 +8,10 @@ block — the page is a pure function of that blob, and tests compare the
 blob against a fresh export to prove the dashboard shows the ledger and
 nothing else.
 
-Panels: headline stat tiles, bench throughput trends across ledger
-history, ILP per machine for the latest report run, per-cause stall
-stacked bars, cache/replay-memo hit-rate trends, a flaky-cell table
-(every cell ever retried/degraded/failed, with attempt histories), and
-per-track resource telemetry when runs carried it.
+Panels: headline stat tiles, ILP per machine for the latest run,
+per-cause stall stacked bars, cache/replay-memo hit-rate trends, a
+flaky-cell table (every cell ever retried/degraded/failed, with attempt
+histories), and per-track resource telemetry when runs carried it.
 
 Colors follow the repo's chart conventions: categorical hues assigned
 in fixed slot order, light and dark palettes as CSS custom properties
@@ -319,33 +318,23 @@ function setEmpty(id, text) {
   panel(id).appendChild(p);
 }
 
-const reportRuns = DATA.runs.filter(r => r.kind === 'report');
-const benchRuns = DATA.runs.filter(r => r.kind === 'bench');
-
 // -- stat tiles --------------------------------------------------------
 (function tiles() {
-  const latest = reportRuns[reportRuns.length - 1];
-  const latestBench = benchRuns[benchRuns.length - 1];
-  const warm = latestBench &&
-    latestBench.modes.find(m => m.mode === 'warm');
+  const latest = DATA.runs[DATA.runs.length - 1];
   const items = [
     ['ledger entries', DATA.runs.length],
-    ['report runs', reportRuns.length],
     ['latest cells', latest ? latest.cells.length : null],
     ['latest ILP (hmean)', latest ? harmonicMean(
       latest.cells.map(c => c.parallelism)) : null],
-    ['warm throughput', warm ? warm.instr_per_sec : null,
-     ' instr/s'],
     ['flaky cells (ever)', DATA.flaky.length],
   ];
   const box = panel('tiles');
-  for (const [label, value, unit] of items) {
+  for (const [label, value] of items) {
     const tile = document.createElement('div');
     tile.className = 'tile';
     const v = document.createElement('div');
     v.className = 'value';
-    v.textContent = fmt(typeof value === 'number' ? value : NaN) +
-      (value != null && unit ? unit : '');
+    v.textContent = fmt(typeof value === 'number' ? value : NaN);
     const l = document.createElement('div');
     l.className = 'label';
     l.textContent = label;
@@ -355,32 +344,9 @@ const benchRuns = DATA.runs.filter(r => r.kind === 'bench');
   }
 })();
 
-// -- bench throughput trend -------------------------------------------
-(function throughput() {
-  if (!benchRuns.length) {
-    setEmpty('bench-panel',
-             'No bench entries yet — ingest a BENCH_sim.json with ' +
-             '`repro ingest --bench`.');
-    return;
-  }
-  const modeNames = [];
-  benchRuns.forEach(r => r.modes.forEach(m => {
-    if (!modeNames.includes(m.mode)) modeNames.push(m.mode);
-  }));
-  const xLabels = benchRuns.map(r => '#' + r.id);
-  const series = modeNames.map(mode => ({
-    name: mode,
-    points: benchRuns.map(r => {
-      const row = r.modes.find(m => m.mode === mode);
-      return {y: row ? row.instr_per_sec : null};
-    }),
-  }));
-  lineChart(panel('bench-panel'), series, xLabels, ' i/s');
-})();
-
 // -- ILP per machine (latest report run) ------------------------------
 (function ilp() {
-  const latest = reportRuns[reportRuns.length - 1];
+  const latest = DATA.runs[DATA.runs.length - 1];
   if (!latest || !latest.cells.length) {
     setEmpty('ilp-panel', 'No report entries yet — ingest a JSONL run ' +
              'report with `repro ingest`.');
@@ -401,7 +367,7 @@ const benchRuns = DATA.runs.filter(r => r.kind === 'bench');
 (function stalls() {
   const causes = ['control', 'raw_dep', 'memory_order',
                   'unit_conflict', 'issue_width'];
-  const latest = [...reportRuns].reverse().find(
+  const latest = [...DATA.runs].reverse().find(
     r => r.cells.some(c => c.stalls));
   if (!latest) {
     setEmpty('stall-panel', 'No run with stall attribution yet — ' +
@@ -426,7 +392,7 @@ const benchRuns = DATA.runs.filter(r => r.kind === 'bench');
 
 // -- cache / memo hit-rate trends -------------------------------------
 (function rates() {
-  const runs = reportRuns.filter(r => r.counters &&
+  const runs = DATA.runs.filter(r => r.counters &&
     (r.counters['cache.gets'] || r.counters['replay.memo_hits'] ||
      (r.engine && r.engine.cache_hits != null)));
   if (!runs.length) {
@@ -526,11 +492,6 @@ _PAGE = """<!DOCTYPE html>
 <h1>%(title)s</h1>
 <p class="subtitle">%(subtitle)s</p>
 <div class="tiles" id="tiles"></div>
-<div class="panel" id="bench-panel">
-  <h2>Bench throughput</h2>
-  <p class="note">instr/s per mode across ingested BENCH_sim runs
-  (warm replay is the gated steady state)</p>
-</div>
 <div class="panel" id="ilp-panel">
   <h2>ILP per machine</h2>
   <p class="note">harmonic-mean parallelism across benchmarks,

@@ -12,23 +12,19 @@ classifies every change:
 * **supervision status** worsening (``ok`` → ``retried`` → ``degraded``
   → ``failed``) is a gated regression;
 * **wall-clock metrics** (cell/sim seconds) are noisy, so they only
-  warn, and only past a generous relative threshold;
-* **bench throughput** gates the ``warm`` mode (the steady-state replay
-  cost) with a configurable ``max_regression`` fraction; other modes
-  warn at the same threshold.
+  warn, and only past a generous relative threshold.
 
 The CLI (``repro diff A B``) prints one verdict line per finding and
-exits nonzero iff a *gated* regression survived — this subsumes the old
-``validate_bench.py --throughput`` gate (whose knowledge now lives in
-:func:`repro.obs.schema.check_throughput` semantics) while extending it
-to every per-cell metric of a run report.
+exits nonzero iff a *gated* regression survived.  It diffs run reports
+and ledger entries; throughput is measured by ``bench/run.py``, whose
+``--compare`` gates it against the bounds in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .schema import DEFAULT_MAX_REGRESSION, GATED_MODE, STALL_CAUSES
+from .schema import STALL_CAUSES
 
 #: Supervision statuses, best first (index = badness).
 _STATUS_ORDER = ("ok", "retried", "degraded", "failed")
@@ -63,8 +59,7 @@ class DiffPolicy:
 
     ``tolerance`` is the allowed relative change for deterministic
     metrics (default 0: bit-identical or it's a finding);
-    ``max_regression`` the allowed fractional throughput drop for bench
-    modes; ``seconds_tolerance`` the relative band inside which
+    ``seconds_tolerance`` the relative band inside which
     wall-clock changes are ignored entirely.  ``warn_only`` downgrades
     every gated finding to a warning (CI uses this for cold-cache
     configurations whose measurements legitimately drift across
@@ -72,7 +67,6 @@ class DiffPolicy:
     """
 
     tolerance: float = 0.0
-    max_regression: float = DEFAULT_MAX_REGRESSION
     seconds_tolerance: float = 0.25
     warn_only: bool = False
     gate_status: bool = True
@@ -82,8 +76,8 @@ class DiffPolicy:
 class DiffEntry:
     """One finding: a single metric that changed between A and B."""
 
-    scope: str          # 'run' | 'cell' | 'bench'
-    key: str            # e.g. 'whet@superscalar-4' or mode name
+    scope: str          # 'run' | 'cell'
+    key: str            # e.g. 'whet@superscalar-4' or 'engine'
     metric: str
     a: object
     b: object
@@ -250,7 +244,6 @@ def diff_payloads(a: dict, b: dict,
         label = _cell_label(key)
         _diff_cell(differ, label, ca, cb, policy)
 
-    _diff_bench(differ, a, b, policy)
     _diff_run(differ, a, b, policy)
     return differ.result
 
@@ -312,39 +305,6 @@ def _diff_cell(differ: _Differ, label: str, ca: dict, cb: dict,
                             " noise band")
 
 
-def _diff_bench(differ: _Differ, a: dict, b: dict,
-                policy: DiffPolicy) -> None:
-    modes_a = {m.get("mode"): m for m in a.get("modes", [])}
-    modes_b = {m.get("mode"): m for m in b.get("modes", [])}
-    if not modes_a and not modes_b:
-        return
-    for mode in modes_a:
-        va = modes_a[mode].get("instr_per_sec")
-        vb = (modes_b.get(mode) or {}).get("instr_per_sec")
-        gated = mode == GATED_MODE
-        if not _numeric(va) or va <= 0:
-            continue
-        if not _numeric(vb) or vb <= 0:
-            differ.add("bench", mode, "instr_per_sec", va, vb,
-                       gated=gated, note="missing or non-positive in "
-                                         "candidate")
-            continue
-        ratio = vb / va
-        if ratio < 1.0 - policy.max_regression:
-            differ.add(
-                "bench", mode, "instr_per_sec", va, vb, gated=gated,
-                note=f"{1.0 - ratio:.1%} below baseline, allowed "
-                     f"{policy.max_regression:.0%}"
-                     + ("" if gated else "; not gated"),
-            )
-        elif ratio > 1.0 + policy.max_regression:
-            differ.add("bench", mode, "instr_per_sec", va, vb,
-                       gated=False, note="improved")
-    if GATED_MODE in modes_a and GATED_MODE not in modes_b:
-        differ.add("bench", GATED_MODE, "presence", "present", "missing",
-                   gated=True, note="gated mode absent from candidate")
-
-
 def _diff_run(differ: _Differ, a: dict, b: dict,
               policy: DiffPolicy) -> None:
     ea = a.get("engine") or {}
@@ -370,28 +330,20 @@ def _diff_run(differ: _Differ, a: dict, b: dict,
 def load_diff_side(path_or_ref: str, ledger=None) -> dict:
     """Resolve one CLI diff operand to a uniform payload.
 
-    A path ending in ``.jsonl`` loads as a run report, ``.json`` as a
-    BENCH document; anything else resolves through the ledger
-    (``latest``, ``latest~N``, a numeric id, or a fingerprint prefix).
+    An existing path must end in ``.jsonl`` and loads as a run report;
+    anything else resolves through the ledger (``latest``, ``latest~N``,
+    a numeric id, or a fingerprint prefix).
     """
     import os
 
-    from .history import payload_from_bench, payload_from_events
+    from .history import payload_from_events
     from .recorder import read_jsonl_tolerant
 
     if os.path.exists(path_or_ref):
         if path_or_ref.endswith(".jsonl"):
             events, _skipped = read_jsonl_tolerant(path_or_ref)
             return payload_from_events(events, source=path_or_ref)
-        if path_or_ref.endswith(".json"):
-            import json as _json
-
-            with open(path_or_ref, encoding="utf-8") as handle:
-                return payload_from_bench(_json.load(handle),
-                                          source=path_or_ref)
-        raise ValueError(
-            f"{path_or_ref}: expected a .jsonl run report or a .json "
-            "bench document")
+        raise ValueError(f"{path_or_ref}: expected a .jsonl run report")
     if ledger is None:
         raise ValueError(
             f"{path_or_ref}: not a file, and no ledger given to resolve "

@@ -1,13 +1,14 @@
 """The run-history ledger: an append-only, content-addressed store.
 
-Every JSONL run report (and every ``BENCH_sim.json`` throughput
-document) can be *ingested* into one small SQLite database, giving the
-repro a memory across runs: per-cell measurements (cycles,
-instructions, ILP, stall attribution, replay-memo counters, supervision
-status and attempt histories), run-level engine statistics and metric
-counters, per-track resource telemetry, and bench throughput modes.
-``repro diff`` compares any two entries (or raw files) and ``repro
-dash`` renders the whole ledger as a self-contained HTML dashboard.
+Every JSONL run report can be *ingested* into one small SQLite
+database, giving the repro a memory across runs: per-cell measurements
+(cycles, instructions, ILP, stall attribution, replay-memo counters,
+supervision status and attempt histories), run-level engine statistics
+and metric counters, and per-track resource telemetry.  ``repro diff``
+compares any two entries (or raw files) and ``repro dash`` renders the
+whole ledger as a self-contained HTML dashboard.  Throughput is not a
+ledger concern: ``bench/run.py`` measures it, against the bounds in
+``BENCHMARK.json``.
 
 Entries are **content-addressed**: each run's deterministic measurement
 content — package version, run id, machine list, and every cell's
@@ -49,7 +50,8 @@ LEDGER_ENV = "REPRO_LEDGER"
 #: v3: vectorized-replay counter columns (``replay_vectorized_blocks``,
 #: ``replay_scalar_fallback_blocks``, ``replay_memo_persisted_hits``)
 #: and the matching engine-event roll-ups.
-LEDGER_VERSION = 3
+#: v4: run reports only; the bench-document mode table is gone.
+LEDGER_VERSION = 4
 
 #: Per-cell replay-memo counter columns (match ReplayStats.as_dict()).
 _REPLAY_KEYS = ("blocks", "memo_hits", "memo_misses", "fallbacks",
@@ -78,7 +80,7 @@ CREATE TABLE IF NOT EXISTS meta (
 CREATE TABLE IF NOT EXISTS runs (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     fingerprint TEXT NOT NULL UNIQUE,
-    kind TEXT NOT NULL,              -- 'report' | 'bench'
+    kind TEXT NOT NULL,              -- 'report'
     run_id TEXT NOT NULL,
     schema_version INTEGER,
     package_version TEXT NOT NULL,
@@ -111,14 +113,6 @@ CREATE TABLE IF NOT EXISTS cells (
     {", ".join(f"replay_{k} INTEGER" for k in _REPLAY_KEYS)},
     error TEXT,                      -- JSON: final typed error
     history TEXT                     -- JSON: per-attempt records
-);
-CREATE TABLE IF NOT EXISTS bench_modes (
-    id INTEGER PRIMARY KEY AUTOINCREMENT,
-    run_ref INTEGER NOT NULL REFERENCES runs(id),
-    mode TEXT NOT NULL,
-    seconds REAL,
-    instructions INTEGER,
-    instr_per_sec REAL
 );
 CREATE TABLE IF NOT EXISTS resources (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -403,60 +397,22 @@ def _deterministic_cell(cell: dict) -> dict:
 
 def fingerprint_payload(payload: dict) -> str:
     """SHA-256 over a payload's deterministic measurement content."""
-    if payload.get("kind") == "bench":
-        content = {"kind": "bench", "document": payload.get("document")}
-    else:
-        cells = sorted(
-            (_deterministic_cell(c) for c in payload.get("cells", [])),
-            key=lambda c: (c["benchmark"] or "", c["machine"] or "",
-                           c["options"] or ""),
-        )
-        content = {
-            "kind": "report",
-            "package_version": payload.get("package_version"),
-            "schema": payload.get("schema"),
-            "run_id": payload.get("run_id"),
-            "machines": payload.get("machines"),
-            "cells": cells,
-        }
+    cells = sorted(
+        (_deterministic_cell(c) for c in payload.get("cells", [])),
+        key=lambda c: (c["benchmark"] or "", c["machine"] or "",
+                       c["options"] or ""),
+    )
+    content = {
+        "kind": "report",
+        "package_version": payload.get("package_version"),
+        "schema": payload.get("schema"),
+        "run_id": payload.get("run_id"),
+        "machines": payload.get("machines"),
+        "cells": cells,
+    }
     canonical = json.dumps(content, sort_keys=True,
                            separators=(",", ":"), default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def payload_from_bench(document: dict, source: str | None = None) -> dict:
-    """Wrap one ``BENCH_sim.json`` document as a ledger payload."""
-    modes = []
-    for mode, row in (document.get("modes") or {}).items():
-        if not isinstance(row, dict):
-            continue
-        modes.append({
-            "mode": mode,
-            "seconds": row.get("seconds"),
-            "instructions": row.get("instructions"),
-            "instr_per_sec": row.get("instr_per_sec"),
-        })
-    grid = document.get("grid") or {}
-    machines = grid.get("machines") if isinstance(grid, dict) else None
-    return {
-        "kind": "bench",
-        "run_id": "bench",
-        "schema": None,
-        "package_version": _package_version(),
-        "source": source,
-        "machines": [str(m) for m in machines] if machines else [],
-        "wall_seconds": sum(
-            m["seconds"] for m in modes
-            if isinstance(m.get("seconds"), (int, float))
-        ) or None,
-        "engine": None,
-        "counters": {},
-        "gauges": {},
-        "cells": [],
-        "resources": [],
-        "modes": modes,
-        "document": document,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -548,16 +504,6 @@ class HistoryLedger:
         payload = payload_from_events(events, source=source)
         return self._ingest_payload(payload)
 
-    def ingest_bench(self, document: str | dict,
-                     source: str | None = None) -> IngestResult:
-        """Ingest one BENCH_sim.json document (path or loaded dict)."""
-        if isinstance(document, str):
-            source = source if source is not None else document
-            with open(document, encoding="utf-8") as handle:
-                document = json.load(handle)
-        payload = payload_from_bench(document, source=source)
-        return self._ingest_payload(payload)
-
     def _ingest_payload(self, payload: dict) -> IngestResult:
         """Write one payload, retrying bounded times on a locked db."""
         last: sqlite3.OperationalError | None = None
@@ -625,13 +571,6 @@ class HistoryLedger:
         assert run_ref is not None
         for cell in payload.get("cells", []):
             self._insert_cell(run_ref, cell)
-        for mode in payload.get("modes", []):
-            self._conn.execute(
-                "INSERT INTO bench_modes (run_ref, mode, seconds,"
-                " instructions, instr_per_sec) VALUES (?,?,?,?,?)",
-                (run_ref, mode.get("mode"), mode.get("seconds"),
-                 mode.get("instructions"), mode.get("instr_per_sec")),
-            )
         for res in payload.get("resources", []):
             self._conn.execute(
                 "INSERT INTO resources (run_ref, track, rss_mb,"
@@ -686,18 +625,14 @@ class HistoryLedger:
 
     # -- queries --------------------------------------------------------
 
-    def runs(self, kind: str | None = None) -> list[dict]:
+    def runs(self) -> list[dict]:
         """All ledger entries, oldest first."""
-        sql = ("SELECT id, fingerprint, kind, run_id, schema_version,"
-               " package_version, source, machines, wall_seconds,"
-               " engine, counters, gauges FROM runs")
-        args: tuple = ()
-        if kind is not None:
-            sql += " WHERE kind = ?"
-            args = (kind,)
-        sql += " ORDER BY id"
         out = []
-        for row in self._conn.execute(sql, args):
+        for row in self._conn.execute(
+            "SELECT id, fingerprint, kind, run_id, schema_version,"
+            " package_version, source, machines, wall_seconds,"
+            " engine, counters, gauges FROM runs ORDER BY id"
+        ):
             entry = dict(row)
             entry["machines"] = json.loads(entry["machines"])
             for field in ("engine", "counters", "gauges"):
@@ -709,8 +644,8 @@ class HistoryLedger:
     def resolve(self, ref: str) -> int:
         """Resolve a run reference to a ``runs.id``.
 
-        Accepts a numeric id, ``latest`` / ``latest~N`` (N entries back,
-        any kind), or a unique fingerprint hex prefix (≥ 6 chars).
+        Accepts a numeric id, ``latest`` / ``latest~N`` (N entries
+        back), or a unique fingerprint hex prefix (≥ 6 chars).
         """
         ref = ref.strip()
         if ref.isdigit():
@@ -799,17 +734,6 @@ class HistoryLedger:
                               for k in _REPLAY_KEYS}
         return cell
 
-    def bench_modes(self, run_ref: int) -> list[dict]:
-        return [
-            {"mode": row["mode"], "seconds": row["seconds"],
-             "instructions": row["instructions"],
-             "instr_per_sec": row["instr_per_sec"]}
-            for row in self._conn.execute(
-                "SELECT * FROM bench_modes WHERE run_ref = ? ORDER BY id",
-                (run_ref,),
-            )
-        ]
-
     def resources(self, run_ref: int) -> list[dict]:
         return [
             {"track": row["track"], "rss_mb": row["rss_mb"],
@@ -833,7 +757,7 @@ class HistoryLedger:
         ).fetchone()
         if row is None:
             raise LedgerError(f"no ledger entry with id {run_ref}")
-        payload = {
+        return {
             "kind": row["kind"],
             "run_id": row["run_id"],
             "schema": row["schema_version"],
@@ -850,9 +774,6 @@ class HistoryLedger:
             "cells": self.cells(run_ref),
             "resources": self.resources(run_ref),
         }
-        if row["kind"] == "bench":
-            payload["modes"] = self.bench_modes(run_ref)
-        return payload
 
     def flaky_cells(self) -> list[dict]:
         """Every cell across history that was not a clean first-try ok.
@@ -880,18 +801,10 @@ class HistoryLedger:
         compare the embedded blob against a fresh ``export()`` to prove
         the dashboard shows the ledger, nothing else.
         """
-        runs = []
-        for entry in self.runs():
-            run_ref = entry["id"]
-            entry = dict(entry)
-            if entry["kind"] == "bench":
-                entry["modes"] = self.bench_modes(run_ref)
-                entry["cells"] = []
-            else:
-                entry["cells"] = self.cells(run_ref)
-                entry["modes"] = []
-            entry["resources"] = self.resources(run_ref)
-            runs.append(entry)
+        runs = self.runs()
+        for entry in runs:
+            entry["cells"] = self.cells(entry["id"])
+            entry["resources"] = self.resources(entry["id"])
         return {
             "ledger_version": LEDGER_VERSION,
             "path": self.path,

@@ -11,10 +11,9 @@ recorder parameter defaulting to ``None`` and calls
 :func:`active_recorder` (or checks ``recorder.enabled``) so the disabled
 path costs one attribute test, nothing more.
 
-Event schema (version :data:`SCHEMA_VERSION`) — every event is a flat
-JSON object with a required string field ``"event"``; the known event
-types and their required fields are listed in
-:data:`~repro.obs.recorder.EVENT_SCHEMA` and documented in
+Every event is a flat JSON object with a required string field
+``"event"``; the known event types, their required fields and the
+schema version live in :mod:`repro.obs.schema` and are documented in
 ``docs/observability.md``.
 """
 
@@ -26,14 +25,7 @@ import time
 from contextlib import contextmanager
 from typing import IO, Iterator
 
-# The event schema lives in repro.obs.schema (one shared module for the
-# emitters here and the standalone validators in scripts/); re-exported
-# so existing imports keep working.
-from .schema import EVENT_SCHEMA, SCHEMA_VERSION
-
 __all__ = [
-    "EVENT_SCHEMA",
-    "SCHEMA_VERSION",
     "Recorder",
     "NullRecorder",
     "NULL_RECORDER",
@@ -129,6 +121,8 @@ class JsonlRecorder(Recorder):
     tear lines (``flush()``/``close()`` take the same lock).
 
     Usable as a context manager::
+
+        from repro.obs.schema import SCHEMA_VERSION
 
         with JsonlRecorder("results/run_report.jsonl") as rec:
             rec.emit("run_start", schema=SCHEMA_VERSION, run_id="suite")

@@ -20,7 +20,8 @@ from ..machine.presets import paper_machines
 from ..opt.options import CompilerOptions
 from ..sim.timing import TimingResult, simulate
 from .profile import CompileProfile
-from .recorder import SCHEMA_VERSION, Recorder, active_recorder
+from .recorder import Recorder, active_recorder
+from .schema import SCHEMA_VERSION
 from .stalls import STALL_CAUSES
 from .trace import Tracer, active_tracer, emit_span_events
 

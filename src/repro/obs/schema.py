@@ -1,14 +1,11 @@
 """The run-report event schema and its validators — one shared module.
 
-This is the single home of the knowledge that used to be split across
-``scripts/check_report_schema.py`` (event names, required fields,
-conservation laws) and ``scripts/validate_bench.py`` (the bench-document
-throughput gate).  Both scripts now import it — by file path, via
-:func:`importlib.util.spec_from_file_location`, so CI can validate a
-report without installing the package — and
-:mod:`repro.obs.recorder` re-exports :data:`EVENT_SCHEMA` /
-:data:`SCHEMA_VERSION` from here, so the emitters and the validator can
-never drift.
+This is the single home of the event names, required fields and
+conservation laws.  ``scripts/check_report_schema.py`` loads it by file
+path, via :func:`importlib.util.spec_from_file_location`, so CI can
+validate a report without installing the package, and every emitter
+stamps ``run_start`` with :data:`SCHEMA_VERSION` from here, so the
+emitters and the validator can never drift.
 
 Deliberately **stdlib-only with no intra-package imports**: loading this
 file executes nothing but constant definitions and pure functions.
@@ -43,11 +40,6 @@ Checks, per report file (:func:`check_file`):
 * ``resource`` events (per-track RSS/CPU telemetry from the sampling
   thread, see :mod:`repro.obs.resource`) carry a track name and
   non-negative gauges.
-
-The bench-document side (:func:`check_throughput`) compares two
-``BENCH_sim.json`` documents mode by mode and fails only on the
-:data:`GATED_MODE` (warm replay — the steady-state cost every later
-replay pays); other modes report informationally.
 """
 
 from __future__ import annotations
@@ -499,60 +491,3 @@ def check_file(path: str) -> list[str]:
             errors.append("no 'run_end' event found")
     return errors
 
-
-# ----------------------------------------------------------------------
-# Bench-document (BENCH_sim.json) throughput knowledge
-
-#: The mode whose throughput gates; others are informational only.
-GATED_MODE = "warm"
-
-#: Default allowed fractional drop in warm instr/s before failing.
-DEFAULT_MAX_REGRESSION = 0.10
-
-
-def check_throughput(
-    candidate: dict, baseline: dict,
-    max_regression: float = DEFAULT_MAX_REGRESSION,
-) -> tuple[list[str], list[str]]:
-    """Compare two ``BENCH_sim.json`` documents mode by mode.
-
-    Returns ``(failures, lines)``: the failure messages (empty when the
-    gated mode holds) and human-readable report lines for every mode in
-    the baseline.  Only :data:`GATED_MODE` can fail; a missing or
-    malformed gated mode in either document is itself a failure so a
-    truncated candidate can't pass silently.
-    """
-    failures: list[str] = []
-    lines: list[str] = []
-    cand_modes = candidate.get("modes") or {}
-    base_modes = baseline.get("modes") or {}
-    for label in base_modes:
-        base = (base_modes.get(label) or {}).get("instr_per_sec")
-        cand = (cand_modes.get(label) or {}).get("instr_per_sec")
-        if not isinstance(base, (int, float)) or base <= 0 \
-                or not isinstance(cand, (int, float)) or cand <= 0:
-            if label == GATED_MODE:
-                failures.append(
-                    f"{label}: instr_per_sec missing or non-positive "
-                    f"(baseline={base!r}, candidate={cand!r})"
-                )
-            continue
-        ratio = cand / base
-        gated = label == GATED_MODE
-        verdict = "ok"
-        if ratio < 1.0 - max_regression:
-            verdict = "REGRESSED" if gated else "slower (not gated)"
-            if gated:
-                failures.append(
-                    f"{label}: {cand:,.0f} instr/s is "
-                    f"{(1.0 - ratio):.1%} below baseline {base:,.0f} "
-                    f"(allowed {max_regression:.0%})"
-                )
-        lines.append(
-            f"  {label:7s} baseline {base / 1e6:8.2f} M/s  "
-            f"candidate {cand / 1e6:8.2f} M/s  "
-            f"({ratio:6.1%}) {verdict}"
-        )
-    if GATED_MODE not in base_modes:
-        failures.append(f"baseline has no '{GATED_MODE}' mode")
-    return failures, lines

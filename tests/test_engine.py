@@ -29,7 +29,8 @@ from repro.machine.presets import (
     preset_names,
     resolve,
 )
-from repro.obs.recorder import EVENT_SCHEMA, Recorder
+from repro.obs.recorder import Recorder
+from repro.obs.schema import EVENT_SCHEMA
 from repro.opt.options import CompilerOptions, OptLevel
 
 #: A small grid that still exercises >1 compile group and >1 machine.
@@ -187,7 +188,7 @@ class TestTraceCache:
 
     def test_second_run_hits_with_zero_recompiles(self, tmp_path):
         cache = TraceCache(str(tmp_path))
-        first = _rows(workers=1, cache=cache, observe=False)
+        first = _rows(workers=1, cache=cache)
         assert first.report.cache_hits == 0
         assert first.report.cache_misses == 2  # one per compile group
         assert cache.stats.stores == 2
@@ -195,13 +196,19 @@ class TestTraceCache:
         # New process simulated: drop the in-process memo, keep the disk.
         suite.clear_cache()
         second_cache = TraceCache(str(tmp_path))
-        second = _rows(workers=1, cache=second_cache, observe=False)
+        second = _rows(workers=1, cache=second_cache)
         assert second.report.cache_hits == 2
         assert second.report.cache_misses == 0
         assert second_cache.stats.stores == 0  # nothing was recompiled
+        # The warm rows are the cold rows, stall for stall.
+        assert len(first.cells) == len(second.cells) == 4
         for a, b in zip(first.cells, second.cells):
-            assert a.parallelism == b.parallelism
+            assert (a.benchmark, a.machine) == (b.benchmark, b.machine)
             assert a.instructions == b.instructions
+            assert a.minor_cycles == b.minor_cycles
+            assert a.base_cycles == b.base_cycles
+            assert a.parallelism == b.parallelism
+            assert a.stalls.as_dict() == b.stalls.as_dict()
 
     def test_parallel_run_populates_shared_cache(self, tmp_path):
         cache = TraceCache(str(tmp_path))

@@ -42,7 +42,7 @@ import repro.sim.replay
 NOT_LOADED = ("sqlite3", "multiprocessing", "concurrent.futures.process",
               "repro.lang", "repro.opt.driver", "repro.sched.listsched",
               "repro.analysis.experiments", "repro.obs.history",
-              "repro.obs.dash", "repro.obs.diff")
+              "repro.obs.dash", "repro.obs.diff", "repro.obs.schema")
 
 
 def _fresh(code: str, *, no_numpy: bool = False):

@@ -27,14 +27,10 @@ from repro.obs.history import (
     HistoryLedger,
     LedgerError,
     fingerprint_payload,
-    payload_from_bench,
     payload_from_events,
 )
-from repro.obs.recorder import (
-    SCHEMA_VERSION,
-    JsonlRecorder,
-    read_jsonl,
-)
+from repro.obs.recorder import JsonlRecorder, read_jsonl
+from repro.obs.schema import SCHEMA_VERSION
 
 #: Fast retry policy so faulted runs don't sleep for real.
 FAST = RetryPolicy(base_delay=0.001, max_delay=0.01, group_timeout=60.0)
@@ -78,24 +74,22 @@ def faulted_grid_report(tmp_path_factory):
     return list(read_jsonl(path)), str(path)
 
 
-def _bench_document(warm_rate: float) -> dict:
-    rates = {"interp": 4.0e6, "direct": 3.0e6, "cold": 9.0e6,
-             "warm": warm_rate}
-    return {
-        "grid": {"benchmarks": ["whet"], "machines": ["base"],
-                 "cells": 1, "dynamic_instructions": 1_000_000,
-                 "grid_instructions": 1_000_000},
-        "python": "3.12.0",
-        "cpu_count": 8,
-        "repeat": 1,
-        "modes": {
-            mode: {"seconds": round(1_000_000 / rate, 4),
-                   "instructions": 1_000_000,
-                   "instr_per_sec": rate}
-            for mode, rate in rates.items()
-        },
-        "speedup": {"cold_vs_direct": 3.0, "warm_vs_direct": 8.0},
-    }
+def _tiny_report(run_id: str, minor_cycles: int = 120) -> list[dict]:
+    """A one-cell run report built without running anything; distinct
+    ``run_id``s are distinct ledger content."""
+    return [
+        {"event": "run_start", "schema": SCHEMA_VERSION, "run_id": run_id},
+        {"event": "timing", "benchmark": "whet", "machine": "base",
+         "instructions": 100, "minor_cycles": minor_cycles,
+         "base_cycles": float(minor_cycles),
+         "parallelism": 100 / minor_cycles, "cpi": minor_cycles / 100},
+        {"event": "run_end", "seconds": 0.0, "counters": {}},
+    ]
+
+
+def _write_events(path, events: list[dict]) -> str:
+    path.write_text("".join(json.dumps(e) + "\n" for e in events))
+    return str(path)
 
 
 class TestPayloadFromEvents:
@@ -176,17 +170,6 @@ class TestLedgerRoundTrip:
                 stored.pop("history"), cell.pop("history")
                 assert stored == cell
 
-    def test_bench_round_trip(self, tmp_path):
-        document = _bench_document(20.0e6)
-        with HistoryLedger(str(tmp_path / "ledger.sqlite")) as ledger:
-            result = ledger.ingest_bench(document, source="BENCH_sim.json")
-            stored = ledger.payload(result.run_ref)
-            assert stored["kind"] == "bench"
-            assert {m["mode"]: m["instr_per_sec"]
-                    for m in stored["modes"]} == \
-                {m: row["instr_per_sec"]
-                 for m, row in document["modes"].items()}
-
     def test_resource_events_round_trip(self, tmp_path):
         events = [
             {"event": "run_start", "schema": SCHEMA_VERSION,
@@ -235,8 +218,8 @@ class TestResolve:
     @pytest.fixture()
     def ledger(self, tmp_path):
         with HistoryLedger(str(tmp_path / "ledger.sqlite")) as ledger:
-            for rate in (20.0e6, 21.0e6, 22.0e6):
-                ledger.ingest_bench(_bench_document(rate))
+            for i in range(3):
+                ledger.ingest_report(_tiny_report(f"run-{i}"))
             yield ledger
 
     def test_numeric_id(self, ledger):
@@ -298,33 +281,10 @@ class TestDiffPolicy:
         assert result.ok
         assert any(e.metric == "seconds" for e in result.entries)
 
-    def test_warm_throughput_regression_gates(self):
-        a = payload_from_bench(_bench_document(20.0e6))
-        b = payload_from_bench(_bench_document(17.0e6))  # -15%
-        result = diff_payloads(a, b)
-        assert not result.ok
-        assert any(e.scope == "bench" and e.key == "warm"
-                   for e in result.regressions)
-
-    def test_warm_regression_within_band_passes(self):
-        a = payload_from_bench(_bench_document(20.0e6))
-        b = payload_from_bench(_bench_document(19.0e6))  # -5% < 10%
-        assert diff_payloads(a, b).ok
-
-    def test_other_modes_never_gate(self):
-        a = payload_from_bench(_bench_document(20.0e6))
-        b = payload_from_bench(_bench_document(20.0e6))
-        b["modes"] = [dict(m) for m in b["modes"]]
-        for mode in b["modes"]:
-            if mode["mode"] == "cold":
-                mode["instr_per_sec"] = 1.0e6  # huge cold regression
-        result = diff_payloads(a, b)
-        assert result.ok
-        assert any(e.key == "cold" for e in result.entries)
-
     def test_warn_only_downgrades_everything(self):
-        a = payload_from_bench(_bench_document(20.0e6))
-        b = payload_from_bench(_bench_document(10.0e6))
+        a = payload_from_events(_tiny_report("run"))
+        b = payload_from_events(_tiny_report("run", minor_cycles=150))
+        assert not diff_payloads(a, b).ok
         result = diff_payloads(a, b, DiffPolicy(warn_only=True))
         assert result.ok and result.entries
 
@@ -337,8 +297,8 @@ class TestDiffPolicy:
         assert any(e.metric == "presence" for e in result.regressions)
 
     def test_as_dict_shape(self):
-        a = payload_from_bench(_bench_document(20.0e6))
-        b = payload_from_bench(_bench_document(17.0e6))
+        a = payload_from_events(_tiny_report("run"))
+        b = payload_from_events(_tiny_report("run", minor_cycles=150))
         doc = diff_payloads(a, b).as_dict()
         assert doc["ok"] is False
         assert doc["regressions"] >= 1
@@ -352,8 +312,8 @@ class TestDashboard:
         events, path = faulted_grid_report
         with HistoryLedger(str(tmp_path / "ledger.sqlite")) as ledger:
             ledger.ingest_report(path)
-            ledger.ingest_bench(_bench_document(20.0e6))
-            ledger.ingest_bench(_bench_document(21.0e6))
+            ledger.ingest_report(_tiny_report("tiny-1"))
+            ledger.ingest_report(_tiny_report("tiny-2"))
             yield ledger.export()
 
     @staticmethod
@@ -422,30 +382,31 @@ class TestCli:
         assert cli_main(["ingest", str(tmp_path / "nope.jsonl"),
                          "--ledger", ledger]) == 1
         assert "no such file" in capsys.readouterr().err
+        # A .json document is not a run report either.
+        document = tmp_path / "bench.json"
+        document.write_text("{}")
+        assert cli_main(["ingest", str(document),
+                         "--ledger", ledger]) == 1
+        assert "expected a .jsonl run report" in capsys.readouterr().err
 
     def test_diff_identical_files_exits_zero(self, small_report, capsys):
         assert cli_main(["diff", small_report, small_report]) == 0
         assert "no differences" in capsys.readouterr().out
 
-    def test_diff_bench_regression_exits_nonzero(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        a.write_text(json.dumps(_bench_document(20.0e6)))
-        b.write_text(json.dumps(_bench_document(17.0e6)))  # -15% warm
-        assert cli_main(["diff", str(a), str(b)]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out and "warm" in out
+    @staticmethod
+    def _drifted_pair(tmp_path) -> tuple[str, str]:
+        return (_write_events(tmp_path / "a.jsonl", _tiny_report("run")),
+                _write_events(tmp_path / "b.jsonl",
+                              _tiny_report("run", minor_cycles=150)))
 
     def test_diff_warn_only_exits_zero(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        a.write_text(json.dumps(_bench_document(20.0e6)))
-        b.write_text(json.dumps(_bench_document(17.0e6)))
-        assert cli_main(["diff", str(a), str(b), "--warn-only"]) == 0
+        a, b = self._drifted_pair(tmp_path)
+        assert cli_main(["diff", a, b]) == 1
+        assert cli_main(["diff", a, b, "--warn-only"]) == 0
 
     def test_diff_json_output(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        a.write_text(json.dumps(_bench_document(20.0e6)))
-        b.write_text(json.dumps(_bench_document(17.0e6)))
-        assert cli_main(["diff", str(a), str(b), "--json"]) == 1
+        a, b = self._drifted_pair(tmp_path)
+        assert cli_main(["diff", a, b, "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is False and doc["regressions"] >= 1
 
@@ -462,6 +423,11 @@ class TestCli:
         assert cli_main(["diff", "latest", "latest",
                          "--ledger", ledger]) == 2
         assert "diff:" in capsys.readouterr().err
+        # Existing files that are not run reports are refused too.
+        document = tmp_path / "bench.json"
+        document.write_text("{}")
+        assert cli_main(["diff", str(document), str(document)]) == 2
+        assert "expected a .jsonl run report" in capsys.readouterr().err
 
     def test_file_vs_file_diff_creates_no_ledger(self, small_report,
                                                  tmp_path, monkeypatch):
@@ -473,10 +439,11 @@ class TestCli:
 
 class TestLoadDiffSide:
     def test_rejects_unknown_extension(self, tmp_path):
-        path = tmp_path / "report.txt"
-        path.write_text("hi")
-        with pytest.raises(ValueError):
-            load_diff_side(str(path))
+        for name in ("report.txt", "bench.json"):
+            path = tmp_path / name
+            path.write_text("{}")
+            with pytest.raises(ValueError):
+                load_diff_side(str(path))
 
     def test_requires_ledger_for_references(self):
         with pytest.raises(ValueError):
@@ -492,7 +459,7 @@ sys.path.insert(0, sys.argv[1])
 from repro.obs.history import HistoryLedger
 
 ledger_path, report, start_file = sys.argv[2], sys.argv[3], sys.argv[4]
-bench_paths = json.loads(sys.argv[5])
+own_reports = json.loads(sys.argv[5])
 while not os.path.exists(start_file):
     time.sleep(0.001)
 for i in range(4):
@@ -500,9 +467,9 @@ for i in range(4):
     # invocations racing from CI shards.
     with HistoryLedger(ledger_path) as ledger:
         ledger.ingest_report(report)
-    if i < len(bench_paths):
+    if i < len(own_reports):
         with HistoryLedger(ledger_path) as ledger:
-            ledger.ingest_bench(bench_paths[i])
+            ledger.ingest_report(own_reports[i])
 print("DONE")
 """
 
@@ -517,23 +484,19 @@ print("DONE")
         start = tmp_path / "go"
 
         per_proc = 4
-        bench_paths: dict[int, list[str]] = {}
-        for who in range(2):
-            paths = []
-            for i in range(per_proc):
-                doc = _bench_document(
-                    warm_rate=1.0e7 + who * 100 + i)
-                path = tmp_path / f"bench-{who}-{i}.json"
-                path.write_text(json.dumps(doc))
-                paths.append(str(path))
-            bench_paths[who] = paths
+        own_reports = {
+            who: [_write_events(tmp_path / f"own-{who}-{i}.jsonl",
+                                _tiny_report(f"own-{who}-{i}"))
+                  for i in range(per_proc)]
+            for who in range(2)
+        }
 
         src = str(Path(__file__).resolve().parent.parent / "src")
         procs = [
             subprocess.Popen(
                 [sys.executable, "-c", self.HAMMER, src,
                  str(ledger_path), str(report), str(start),
-                 json.dumps(bench_paths[who])],
+                 json.dumps(own_reports[who])],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                 text=True)
             for who in range(2)
@@ -547,11 +510,13 @@ print("DONE")
 
         with HistoryLedger(str(ledger_path)) as ledger:
             data = ledger.export()
-        # The report deduped to one run; every distinct bench document
+        # The shared report deduped to one run; every distinct report
         # landed exactly once despite the racing writers.
-        kinds = [run["kind"] for run in data["runs"]]
-        assert kinds.count("report") == 1
-        assert kinds.count("bench") == 2 * per_proc
+        run_ids = sorted(run["run_id"] for run in data["runs"])
+        assert run_ids == sorted(
+            ["history-test"]
+            + [f"own-{who}-{i}" for who in range(2)
+               for i in range(per_proc)])
 
     def test_identical_content_race_dedupes(self, tmp_path):
         """Both writers ingest the SAME content: exactly one run wins."""

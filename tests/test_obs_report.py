@@ -14,13 +14,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.machine import base_machine, ideal_superscalar
-from repro.obs.recorder import (
-    EVENT_SCHEMA,
-    SCHEMA_VERSION,
-    JsonlRecorder,
-    Recorder,
-    read_jsonl,
-)
+from repro.obs.recorder import JsonlRecorder, Recorder, read_jsonl
 from repro.obs.report import (
     build_suite_report,
     default_report_machines,
@@ -28,6 +22,7 @@ from repro.obs.report import (
     render_stall_table,
     stall_row,
 )
+from repro.obs.schema import EVENT_SCHEMA, SCHEMA_VERSION
 from repro.obs.stalls import STALL_CAUSES
 
 SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"

@@ -494,6 +494,8 @@ class TestOverheadGuard:
         execute(plan, cache=cache)
         reps = max(1, math.ceil(0.5 / (time.perf_counter() - start)))
 
+        rows = {}
+
         def timed(traced: bool) -> float:
             # Start every sample from a collected heap, so a collection
             # of garbage left by earlier samples (or by the rest of the
@@ -503,8 +505,12 @@ class TestOverheadGuard:
             for _ in range(reps):
                 tr = Tracer() if traced else None
                 mx = MetricsRegistry() if traced else None
-                execute(plan, cache=cache, tracer=tr, metrics=mx)
-            return time.perf_counter() - start
+                result = execute(plan, cache=cache, tracer=tr, metrics=mx)
+            seconds = time.perf_counter() - start
+            rows[traced] = [(c.benchmark, c.machine, c.instructions,
+                             c.minor_cycles, c.base_cycles, c.parallelism)
+                            for c in result.cells]
+            return seconds
 
         # Interleaved best-of timing damps scheduler noise, and the arm
         # that runs first alternates so neither always pays for a
@@ -516,6 +522,8 @@ class TestOverheadGuard:
                 best[arm] = min(best[arm], timed(arm))
             if best[True] <= best[False] * 1.02:
                 break
+        # Tracing observes the grid; it must not change a single cell.
+        assert rows[True] == rows[False]
         plain, traced = best[False], best[True]
         overhead = traced / plain - 1.0
         assert overhead <= 0.02, (

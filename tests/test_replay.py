@@ -11,6 +11,8 @@ conservation law, and the blacklist fall-back.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import replace
 
 import pytest
@@ -25,6 +27,7 @@ from repro.machine.presets import (
 from repro.opt.driver import compile_source
 from repro.sim import replay as replay_mod
 from repro.sim.interp import run as interp_run
+from repro.sim.memo import MemoStore, clear_registry, replay_with_memo
 from repro.sim.replay import ReplayCore, build_plan, plan_for
 from repro.sim.timing import issue_schedule, simulate
 from tests.test_fuzz_differential import _block, _program
@@ -47,6 +50,10 @@ def _trace_for(source: str):
 
 
 def _assert_identical(trace, config):
+    """Every replay mode equals the direct per-instruction replay: the
+    memoized first run, the steady-state rerun on populated memo tables
+    (the vectorized kernel under NumPy), and a fresh core adopting its
+    memo from the persistent store."""
     memo = simulate(trace, config, observe=True)
     direct = simulate(trace, config, observe=True, memoize=False)
     label = f"{config.name}"
@@ -56,6 +63,19 @@ def _assert_identical(trace, config):
     assert memo.stalls == direct.stalls, label
     assert (issue_schedule(trace, config)
             == issue_schedule(trace, config, memoize=False)), label
+    core = ReplayCore(trace, config, observe=True)
+    core.run()
+    steady = core.run()
+    with tempfile.TemporaryDirectory() as root:
+        store = MemoStore(os.path.join(root, "memo"))
+        replay_with_memo(store, trace, config, observe=True)
+        clear_registry()
+        adopted = replay_with_memo(store, trace, config, observe=True)
+        clear_registry()
+    assert adopted.stats.memo_persisted_hits, label
+    for mode, got in (("steady-state", steady), ("adopted", adopted)):
+        assert got.minor_cycles == direct.minor_cycles, (label, mode)
+        assert got.stalls == direct.stalls, (label, mode)
 
 
 class TestMemoizedEqualsDirect:
@@ -72,7 +92,8 @@ class TestMemoizedEqualsDirect:
         for config in _edge_machines():
             _assert_identical(trace, config)
 
-    @pytest.mark.parametrize("bench_name", ["whet", "livermore"])
+    @pytest.mark.parametrize("bench_name",
+                             ["whet", "livermore", "linpack", "stanford"])
     def test_real_benchmarks_all_machines(self, bench_name):
         bench = suite.get(bench_name)
         trace = suite.run_benchmark(

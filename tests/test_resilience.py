@@ -40,7 +40,8 @@ from repro.engine.resilience import (
     run_group_serial,
 )
 from repro.errors import InterpBudgetError, ResourceLimitError, ReproError
-from repro.obs.recorder import JsonlRecorder, SCHEMA_VERSION
+from repro.obs.recorder import JsonlRecorder
+from repro.obs.schema import SCHEMA_VERSION
 
 SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
 

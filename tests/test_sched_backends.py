@@ -29,7 +29,8 @@ from repro.engine.plan import plan_sweep
 from repro.errors import ScheduleBudgetError, SchedulingError
 from repro.machine.presets import resolve
 from repro.obs.history import HistoryLedger
-from repro.obs.recorder import SCHEMA_VERSION, JsonlRecorder, read_jsonl
+from repro.obs.recorder import JsonlRecorder, read_jsonl
+from repro.obs.schema import SCHEMA_VERSION
 from repro.opt.driver import compile_source
 from repro.opt.options import CompilerOptions
 from repro.sched import registry
