@@ -126,7 +126,7 @@ class EngineReport:
     #: :class:`repro.sim.replay.ReplayStats`)
     vectorized_blocks: int = 0
     scalar_fallback_blocks: int = 0
-    #: memo hits served from persisted payloads (disk or registry)
+    #: memo hits served from payloads persisted on disk
     memo_persisted_hits: int = 0
     #: active replay backend (:data:`repro.sim.replay.BACKEND`)
     replay_backend: str = ""
@@ -309,38 +309,46 @@ def _run_group(
         memo = open_memo_store(cache)
 
         out: list[tuple[int, CellResult]] = []
-        for index, machine, label in machine_cells:
-            t0 = time.perf_counter()
-            with tracer.span("simulate", cat="sim", benchmark=benchmark,
-                             machine=machine.name):
-                timing = simulate(result.trace, machine, observe=observe,
-                                  memo=memo)
-            cell = CellResult(
-                benchmark=benchmark,
-                options_label=label,
-                machine=machine.name,
-                instructions=result.instructions,
-                checksum_ok=checksum_ok,
-                minor_cycles=timing.minor_cycles,
-                base_cycles=timing.base_cycles,
-                parallelism=timing.parallelism,
-                stalls=timing.stalls,
-                seconds=time.perf_counter() - t0,
-                compile_seconds=compile_seconds,
-                compile_cached=cached,
-                replay=(timing.replay.as_dict()
-                        if timing.replay is not None else None),
-            )
-            if metrics.enabled:
-                metrics.incr("engine.cells")
-                metrics.observe("cell.sim.seconds", cell.seconds)
-                metrics.observe("cell.instructions", cell.instructions,
-                                bounds=COUNT_BUCKETS)
-                if timing.replay is not None:
-                    timing.replay.record_to(metrics)
-            if faults:
-                cell = faults.maybe_corrupt_cell(cell, attempt)
-            out.append((index, cell))
+        try:
+            for index, machine, label in machine_cells:
+                t0 = time.perf_counter()
+                with tracer.span("simulate", cat="sim", benchmark=benchmark,
+                                 machine=machine.name):
+                    timing = simulate(result.trace, machine, observe=observe,
+                                      memo=memo)
+                cell = CellResult(
+                    benchmark=benchmark,
+                    options_label=label,
+                    machine=machine.name,
+                    instructions=result.instructions,
+                    checksum_ok=checksum_ok,
+                    minor_cycles=timing.minor_cycles,
+                    base_cycles=timing.base_cycles,
+                    parallelism=timing.parallelism,
+                    stalls=timing.stalls,
+                    seconds=time.perf_counter() - t0,
+                    compile_seconds=compile_seconds,
+                    compile_cached=cached,
+                    replay=(timing.replay.as_dict()
+                            if timing.replay is not None else None),
+                )
+                if metrics.enabled:
+                    metrics.incr("engine.cells")
+                    metrics.observe("cell.sim.seconds", cell.seconds)
+                    metrics.observe("cell.instructions", cell.instructions,
+                                    bounds=COUNT_BUCKETS)
+                    if timing.replay is not None:
+                        timing.replay.record_to(metrics)
+                if faults:
+                    cell = faults.maybe_corrupt_cell(cell, attempt)
+                out.append((index, cell))
+        finally:
+            # The engine never replays this trace again: release its
+            # vectorized plan arrays.  The plan itself stays for direct
+            # simulate() callers; a later replay reloads the arrays
+            # from the store or rebuilds them.
+            if result.trace._plan is not None:
+                result.trace._plan.vec = None
         memo.stats.record_to(metrics, "cache.memo_")
     return out, cached
 

@@ -495,12 +495,19 @@ class HistoryLedger:
 
     def ingest_report(self, report: str | list,
                       source: str | None = None) -> IngestResult:
-        """Ingest one JSONL run report (path or pre-loaded event list)."""
+        """Ingest one JSONL run report (path or pre-loaded event list).
+
+        Raises :class:`LedgerError` when the events hold no
+        ``run_start`` (an empty file, or one holding only torn lines).
+        """
         if isinstance(report, str):
             events, _skipped = read_jsonl_tolerant(report)
             source = source if source is not None else report
         else:
             events = report
+        if not any(e.get("event") == "run_start" for e in events):
+            raise LedgerError(
+                f"{source or 'report'}: no run_start event; not a run report")
         payload = payload_from_events(events, source=source)
         return self._ingest_payload(payload)
 

@@ -28,6 +28,16 @@ Under the NumPy backend the namespace also holds one entry per trace
 loads it instead of rebuilding it for every trace.  It is written only
 when the lookup missed.
 
+Lifetime
+--------
+No payload is held in memory between replays: every lookup reads the
+sealed entry from disk.  The key includes the machine, so no two
+replays of one engine group share a payload, and an in-memory copy
+would never be hit.  The engine likewise releases a trace's
+``PlanVec`` when its compile group ends
+(:func:`repro.engine.executor._run_group`); a later replay of that
+trace reloads it from its :func:`plan_key` entry or rebuilds it.
+
 Hygiene
 -------
 Entries live under ``<cache-root>/memo/`` in a
@@ -50,7 +60,6 @@ import hashlib
 import json
 import os
 import pickle
-from collections import OrderedDict
 
 from .. import __version__
 from ..machine.config import MachineConfig
@@ -133,32 +142,6 @@ def open_memo_store(cache) -> MemoStore:
     return MemoStore(os.path.join(cache.root, "memo"))
 
 
-#: Process-wide payload registry: engine groups replay the same trace
-#: on many machines back to back, so freshly exported payloads are kept
-#: in memory (bounded LRU) and shared without a disk round trip.
-_REGISTRY: OrderedDict[str, dict] = OrderedDict()
-_REGISTRY_MAX = 64
-
-
-def _registry_get(key: str) -> dict | None:
-    payload = _REGISTRY.get(key)
-    if payload is not None:
-        _REGISTRY.move_to_end(key)
-    return payload
-
-
-def _registry_put(key: str, payload: dict) -> None:
-    _REGISTRY[key] = payload
-    _REGISTRY.move_to_end(key)
-    while len(_REGISTRY) > _REGISTRY_MAX:
-        _REGISTRY.popitem(last=False)
-
-
-def clear_registry() -> None:
-    """Drop the in-process payload registry (tests)."""
-    _REGISTRY.clear()
-
-
 def _attach_plan_vec(store: MemoStore, core: ReplayCore) -> None:
     """Give ``core``'s plan its SoA view from the store, or build it and
     store it when the lookup missed (NumPy backend only)."""
@@ -179,42 +162,30 @@ def replay_with_memo(
 ) -> ReplayOutcome:
     """Replay ``trace`` on ``config``, warm-started from ``store``.
 
-    Looks the payload up in the in-process registry, then on disk;
-    adopts it into a fresh core (dropping it if stale/corrupt), runs,
-    and shares the learned state back — to the registry always, to disk
-    only when this run actually learned something new (fresh payload or
-    new memo misses), so steady-state replays never rewrite the file.
+    Reads the payload from disk (sealed and digest-checked on every
+    read), adopts it into a fresh core (dropping it if stale/corrupt)
+    and runs.  The learned state goes back to disk only when this run
+    actually learned something new (fresh payload or new memo misses),
+    so steady-state replays never rewrite the file.  Nothing is kept
+    in memory between calls.
     """
     if not store.enabled:
         # Cacheless runs stay byte-for-byte deterministic across
-        # serial/parallel topologies: no registry, no adoption.
+        # serial/parallel topologies: no adoption.
         return ReplayCore(trace, config, observe=observe,
                           want_times=want_times).run()
     key = memo_key(trace, config, observe=observe,
                    want_times=want_times)
-    payload = _registry_get(key)
-    from_disk = False
-    if payload is None:
-        payload = store.load(key)
-        from_disk = True
+    payload = store.load(key)
     core = ReplayCore(trace, config, observe=observe,
                       want_times=want_times)
     _attach_plan_vec(store, core)
-    adopted = payload is not None and core.adopt_memo(payload)
-    if payload is not None and not adopted:
-        if from_disk:
-            store.reject(key)
-        else:
-            _REGISTRY.pop(key, None)
+    if payload is not None and not core.adopt_memo(payload):
+        store.reject(key)
         payload = None
     outcome = core.run()
-    dirty = (
-        payload is None
-        or outcome.stats.memo_misses > 0
-        or core._rec_ids is not payload.get("record_ids")
-    )
-    if dirty:
-        payload = core.export_memo()
-        store.store(key, payload)
-    _registry_put(key, payload)
+    if (payload is None
+            or outcome.stats.memo_misses > 0
+            or core._rec_ids is not payload.get("record_ids")):
+        store.store(key, core.export_memo())
     return outcome

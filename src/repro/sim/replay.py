@@ -449,7 +449,7 @@ class ReplayStats:
     #: verification failed mid-grid (the whole run falls back).
     scalar_fallback_blocks: int = 0
     #: Memo hits served from entries adopted out of a persisted memo
-    #: payload (disk or in-process registry) rather than learned live.
+    #: payload on disk rather than learned live.
     memo_persisted_hits: int = 0
 
     def as_dict(self) -> dict:

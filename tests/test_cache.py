@@ -119,100 +119,6 @@ class TestCacheSimulation:
 # ----------------------------------------------------------------------
 # On-disk trace cache robustness (repro.engine.cache)
 
-class TestTraceCacheConcurrency:
-    """Concurrent writers and partial writes must never corrupt a read."""
-
-    def _run_result(self):
-        import repro.api as api
-
-        return api.run("proc main(): int { return 41 + 1; }")
-
-    def test_concurrent_writers_same_key(self, tmp_path):
-        import threading
-
-        from repro.engine.cache import TraceCache
-
-        result = self._run_result()
-        cache = TraceCache(str(tmp_path))
-        key = "ab" + "0" * 62
-        errors = []
-
-        def writer():
-            try:
-                for _ in range(10):
-                    cache.store(key, result)
-            except Exception as exc:  # pragma: no cover - the assertion
-                errors.append(exc)
-
-        threads = [threading.Thread(target=writer) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
-        loaded = cache.load(key)
-        assert loaded is not None
-        assert loaded.value == result.value
-        assert loaded.instructions == result.instructions
-        # The atomic-rename protocol leaves no temp spill behind.
-        assert list(tmp_path.rglob("*.tmp")) == []
-
-    def test_injected_partial_write_reads_as_miss(self, tmp_path):
-        from repro.engine.cache import TraceCache
-        from repro.engine.faults import FaultPlan
-
-        result = self._run_result()
-        cache = TraceCache(str(tmp_path))
-        key = "cd" + "1" * 62
-        cache.store(key, result)
-        assert cache.load(key) is not None
-
-        # Simulate a torn write via the fault plan's truncation hook.
-        faults = FaultPlan.parse("corrupt-cache@main")
-        faults.maybe_corrupt_cache(cache, key, "main", attempt=1)
-
-        assert cache.load(key) is None
-        # The corrupt entry is dropped, so the next store repopulates.
-        import os
-
-        assert not os.path.exists(cache.path_for(key))
-        cache.store(key, result)
-        assert cache.load(key) is not None
-
-    def test_interrupted_store_leaves_no_tmp(self, tmp_path):
-        from repro.engine.cache import TraceCache
-
-        cache = TraceCache(str(tmp_path))
-        key = "ef" + "2" * 62
-
-        class Unpicklable:
-            def __reduce__(self):
-                raise RuntimeError("simulated mid-write failure")
-
-        with pytest.raises(RuntimeError):
-            cache.store(key, Unpicklable())
-        assert list(tmp_path.rglob("*.tmp")) == []
-        assert cache.load(key) is None
-
-    def test_truncated_entry_never_served_under_race(self, tmp_path):
-        """A reader racing a corruptor sees a hit or a miss, never junk."""
-        from repro.engine.cache import TraceCache
-
-        result = self._run_result()
-        cache = TraceCache(str(tmp_path))
-        key = "aa" + "3" * 62
-        for _ in range(5):
-            cache.store(key, result)
-            path = cache.path_for(key)
-            import os
-
-            size = os.path.getsize(path)
-            with open(path, "r+b") as handle:
-                handle.truncate(size // 2)
-            loaded = cache.load(key)
-            assert loaded is None  # structural validation rejected it
-
-
 class TestDebrisJanitor:
     """Startup sweep of orphaned ``*.tmp`` files (killed writers)."""
 

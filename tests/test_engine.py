@@ -32,6 +32,7 @@ from repro.machine.presets import (
 from repro.obs.recorder import Recorder
 from repro.obs.schema import EVENT_SCHEMA
 from repro.opt.options import CompilerOptions, OptLevel
+from repro.sim import memo
 
 #: A small grid that still exercises >1 compile group and >1 machine.
 BENCHES = ["whet", "linpack"]
@@ -239,6 +240,35 @@ class TestTraceCache:
         assert open_cache(None).enabled is False
         assert open_cache("somewhere", no_cache=True).enabled is False
         assert open_cache("somewhere").enabled is True
+
+
+class TestGroupScope:
+    """Replay state lives for one compile group: the engine keeps no
+    payload in memory and releases each trace's vectorized plan
+    arrays when its group ends (on both backends)."""
+
+    @staticmethod
+    def _numbers(cell):
+        return (cell.benchmark, cell.machine, cell.instructions,
+                cell.minor_cycles, cell.base_cycles, cell.parallelism,
+                cell.stalls.as_dict())
+
+    def test_plan_vec_released_and_rerun_reads_the_store(self, tmp_path):
+        plan = plan_sweep(BENCHES, MACHINES, observe=True)
+        cache = TraceCache(str(tmp_path))
+        runs = []
+        for _ in range(2):
+            runs.append(execute(plan, cache=cache))
+            for cell in plan.cells:
+                trace = suite.cached_run(cell.benchmark, cell.options).trace
+                assert trace._plan is not None  # kept for simulate()
+                assert trace._plan.vec is None
+        assert not hasattr(memo, "_REGISTRY")
+        first, second = runs
+        assert len(second.cells) == len(BENCHES) * len(MACHINES)
+        assert [self._numbers(c) for c in second.cells] == \
+            [self._numbers(c) for c in first.cells]
+        assert second.report.memo_persisted_hits > 0
 
 
 class TestPriming:

@@ -389,6 +389,23 @@ class TestCli:
                          "--ledger", ledger]) == 1
         assert "expected a .jsonl run report" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ["", '{"event": "run_st\n'],
+                             ids=["empty", "torn"])
+    def test_ingest_report_without_run_start_fails(self, tmp_path, capsys,
+                                                   content):
+        """An empty report, or one holding only torn lines, is not a
+        run: ingest exits 1 and the ledger stays empty."""
+        report = tmp_path / "bad.jsonl"
+        report.write_text(content)
+        ledger = str(tmp_path / "ledger.sqlite")
+        assert cli_main(["ingest", str(report), "--ledger", ledger]) == 1
+        assert "no run_start event" in capsys.readouterr().err
+        with HistoryLedger(ledger) as db:
+            assert db.runs() == []
+            with pytest.raises(LedgerError, match="no run_start"):
+                db.ingest_report(str(report))
+            assert db.runs() == []
+
     def test_diff_identical_files_exits_zero(self, small_report, capsys):
         assert cli_main(["diff", small_report, small_report]) == 0
         assert "no differences" in capsys.readouterr().out

@@ -27,7 +27,7 @@ from repro.machine.presets import (
 from repro.opt.driver import compile_source
 from repro.sim import replay as replay_mod
 from repro.sim.interp import run as interp_run
-from repro.sim.memo import MemoStore, clear_registry, replay_with_memo
+from repro.sim.memo import MemoStore, replay_with_memo
 from repro.sim.replay import ReplayCore, build_plan, plan_for
 from repro.sim.timing import issue_schedule, simulate
 from tests.test_fuzz_differential import _block, _program
@@ -69,9 +69,7 @@ def _assert_identical(trace, config):
     with tempfile.TemporaryDirectory() as root:
         store = MemoStore(os.path.join(root, "memo"))
         replay_with_memo(store, trace, config, observe=True)
-        clear_registry()
         adopted = replay_with_memo(store, trace, config, observe=True)
-        clear_registry()
     assert adopted.stats.memo_persisted_hits, label
     for mode, got in (("steady-state", steady), ("adopted", adopted)):
         assert got.minor_cycles == direct.minor_cycles, (label, mode)

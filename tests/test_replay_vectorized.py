@@ -43,7 +43,6 @@ from repro.sim import replay as replay_mod
 from repro.sim.memo import (
     MemoStore,
     NULL_MEMO_STORE,
-    clear_registry,
     memo_key,
     open_memo_store,
     replay_with_memo,
@@ -57,14 +56,6 @@ requires_numpy = pytest.mark.skipif(
     replay_mod.BACKEND != "numpy",
     reason="vectorized kernel needs the NumPy backend",
 )
-
-
-@pytest.fixture(autouse=True)
-def _isolated_memo_registry():
-    """Keep the process-wide memo payload registry out of every test."""
-    clear_registry()
-    yield
-    clear_registry()
 
 
 def _whet_trace():
@@ -368,7 +359,6 @@ class TestMemoPersistence:
         assert first_store.stats.misses == 1
         assert first_store.stats.stores >= 1
 
-        clear_registry()  # force the second handle to hit the disk
         store = MemoStore(str(tmp_path / "memo"))
         out = replay_with_memo(store, trace, config, observe=True)
         assert out.minor_cycles == ref.minor_cycles
@@ -413,7 +403,6 @@ class TestMemoPersistence:
         payload["mode"] = (not payload["mode"][0], payload["mode"][1])
         prime.store(key, payload)
 
-        clear_registry()
         store = MemoStore(str(tmp_path / "memo"))
         out = replay_with_memo(store, trace, config)
         assert out.minor_cycles == ref.minor_cycles
@@ -423,7 +412,7 @@ class TestMemoPersistence:
 
     def test_fresh_process_replay_matches_in_process_adoption(
             self, tmp_path):
-        """A new process (its own hash seed, no plan, no registry)
+        """A new process (its own hash seed, no plan)
         replaying from a primed store reports exactly what an in-process
         replay adopting the same entries does — every ReplayStats field,
         persisted hits included — and touches nothing."""
@@ -434,7 +423,6 @@ class TestMemoPersistence:
         for spec in specs:
             replay_with_memo(MemoStore(root), trace, resolve(spec),
                              observe=True)
-        clear_registry()
         trace._plan = None
         local = {}
         for spec in specs:
@@ -525,7 +513,6 @@ class TestEngineIntegration:
         assert memo_root.is_dir()
         assert any(memo_root.rglob("*.pkl"))
 
-        clear_registry()
         suite.clear_cache()
         again = execute(plan_sweep(["whet"], ["base", "superscalar:4"],
                                    observe=True),

@@ -36,7 +36,6 @@ from repro.opt.options import CompilerOptions
 from repro.sim.memo import (
     NULL_MEMO_STORE,
     MemoStore,
-    clear_registry,
     memo_key,
     plan_key,
     replay_with_memo,
@@ -596,8 +595,7 @@ def primed_memo(tmp_path):
 
 
 def _replay(root, trace, config):
-    """A replay as a fresh process runs it: no registry, no plan."""
-    clear_registry()
+    """A replay as a fresh process runs it: no plan."""
     trace._plan = None
     store = MemoStore(root)
     out = replay_with_memo(store, trace, config, observe=True)
