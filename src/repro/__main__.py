@@ -19,8 +19,9 @@ Commands
     valid checkpoint are restored, everything else re-executes, and the
     final report is bit-identical to an uninterrupted run.
 ``report``
-    Observe the suite end to end: per-pass compile profile, per-machine
-    stall breakdown, and a machine-readable JSONL run report.
+    Observe the suite end to end through the engine: per-pass compile
+    profile, per-machine stall breakdown, and a machine-readable JSONL
+    run report.
 ``exhibit <ident> [...]``
     Regenerate paper exhibits (``exhibit list`` to enumerate).
 ``gap``
@@ -45,20 +46,18 @@ Commands
     Render the whole ledger as one self-contained static HTML
     dashboard (no network, no external assets).
 
-Engine commands also take ``--trace-out PATH`` (write the run's merged
-span timeline straight to a Perfetto-loadable Chrome trace JSON),
-``--live`` (a single self-updating progress line on stderr:
-cells done, ok/retried/degraded/failed counts, instantaneous instr/s)
-and ``--sample-resources`` (per-process RSS/CPU telemetry recorded as
-gauges and ``resource`` report events).
-
 The ``measure``/``suite``/``report``/``exhibit``/``gap`` commands
-submit their work through :mod:`repro.engine`: ``--workers N`` fans
-compilation across a process pool, and a content-addressed trace cache
-under ``--cache-dir`` (default ``.repro-cache``; disable with
-``--no-cache``) skips recompilation across runs and processes.  They
-also take ``--scheduler NAME`` to compile everything through one
-scheduler backend (see :mod:`repro.sched.registry`; default ``list``).
+submit their work through :mod:`repro.engine`; each registers only the
+engine flags it honours.  ``--workers N`` fans compilation across a
+process pool; a content-addressed trace cache under ``--cache-dir``
+(default ``.repro-cache``; disable with ``--no-cache``) skips
+recompilation across runs and processes (a report always compiles
+fresh); ``--scheduler NAME`` compiles everything through one scheduler
+backend (see :mod:`repro.sched.registry`; default ``list``);
+``--trace-out PATH`` writes the run's merged span timeline as a
+Perfetto-loadable Chrome trace JSON; ``--live`` and
+``--sample-resources`` (``measure``/``suite``) paint a progress line on
+stderr and record per-process RSS/CPU telemetry.
 Machine sets are preset names resolved by
 :func:`repro.machine.presets.resolve`, with ``paper`` expanding to the
 paper's seven standard machines.
@@ -79,59 +78,68 @@ from .sim.interp import run as interp_run
 from .sim.timing import simulate
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """The engine knobs shared by measure/suite/report/exhibit."""
-    parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+#: The engine knobs: flag -> ``add_argument`` keywords.  Each command
+#: registers only the ones it honours (see :func:`_add_engine_flags`).
+_ENGINE_FLAGS = {
+    "--workers": dict(
+        type=int, default=1, metavar="N",
         help="worker processes for the execution engine (default 1: "
              "serial, bit-identical results either way)",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=DEFAULT_CACHE_DIR,
+    ),
+    "--cache-dir": dict(
+        metavar="DIR", default=DEFAULT_CACHE_DIR,
         help="content-addressed trace cache directory "
              f"(default: {DEFAULT_CACHE_DIR!r}; $REPRO_CACHE_DIR overrides)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
+    ),
+    "--no-cache": dict(
+        action="store_true",
         help="disable the on-disk trace cache for this run",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+    ),
+    "--retries": dict(
+        type=int, default=None, metavar="N",
         help="attempts per compile group before degrading to serial "
              "(default 3)",
-    )
-    parser.add_argument(
-        "--group-timeout", type=float, default=None, metavar="SEC",
+    ),
+    "--group-timeout": dict(
+        type=float, default=None, metavar="SEC",
         help="wall-clock budget per compile group in a worker before it "
              "counts as hung (default 300; 0 disables)",
-    )
-    parser.add_argument(
-        "--faults", metavar="SPEC", default=None,
+    ),
+    "--faults": dict(
+        metavar="SPEC", default=None,
         help="deterministic fault-injection plan, e.g. "
              "'crash@whet#1,hang@linpack' (default: $REPRO_FAULTS)",
-    )
-    parser.add_argument(
-        "--trace-out", metavar="PATH", default=None,
+    ),
+    "--trace-out": dict(
+        metavar="PATH", default=None,
         help="write the run's span timeline as Chrome trace-event JSON "
              "(load at ui.perfetto.dev)",
-    )
-    parser.add_argument(
-        "--live", action="store_true",
+    ),
+    "--live": dict(
+        action="store_true",
         help="show a live progress line (cells done, status counts, "
              "instantaneous instr/s) on stderr",
-    )
-    parser.add_argument(
-        "--sample-resources", action="store_true",
+    ),
+    "--sample-resources": dict(
+        action="store_true",
         help="record per-process RSS/CPU telemetry (metrics gauges plus "
              "'resource' report events; off by default because gauge "
              "values are wall-clock-dependent)",
-    )
-    parser.add_argument(
-        "--scheduler", metavar="NAME", default=None,
+    ),
+    "--scheduler": dict(
+        metavar="NAME", default=None,
         help="scheduler backend for every compilation this run "
              "(list, swp, exact, ...; 'repro gap' compares them; "
              "default: list)",
-    )
+    ),
+}
+
+
+def _add_engine_flags(parser: argparse.ArgumentParser,
+                      flags=tuple(_ENGINE_FLAGS)) -> None:
+    """Register the engine ``flags`` a command honours (default: all)."""
+    for flag in flags:
+        parser.add_argument(flag, **_ENGINE_FLAGS[flag])
 
 
 def _add_ledger_flag(parser: argparse.ArgumentParser) -> None:
@@ -267,7 +275,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "JSON document, or GitHub-flavored markdown",
     )
     _add_machines_flag(p_report, "the paper's seven machines")
-    _add_engine_flags(p_report)
+    # No cache, retry, fault, live or sampling knobs: the report always
+    # compiles fresh and runs under the engine's default supervision.
+    _add_engine_flags(p_report, ("--workers", "--trace-out", "--scheduler"))
 
     p_report.add_argument(
         "--input", metavar="PATH", default=None,
@@ -278,11 +288,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ex = sub.add_parser("exhibit", help="regenerate paper exhibits")
     p_ex.add_argument("idents", nargs="+",
                       help="exhibit ids, or 'list' / 'all'")
-    _add_engine_flags(p_ex)
+    _add_engine_flags(p_ex, ("--workers", "--cache-dir", "--no-cache",
+                             "--scheduler"))
 
+    # No abbreviations: a stray --scheduler must not pass as --schedulers.
     p_gap = sub.add_parser(
         "gap",
         help="measure the list-vs-exact scheduling gap over the grid",
+        allow_abbrev=False,
     )
     p_gap.add_argument(
         "--benchmarks", nargs="+", metavar="NAME", default=None,
@@ -300,7 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit the gap report as one JSON document",
     )
     _add_machines_flag(p_gap, "the paper's seven machines")
-    _add_engine_flags(p_gap)
+    # Each gap run pins its own scheduler backend.
+    _add_engine_flags(p_gap, ("--workers", "--cache-dir", "--no-cache",
+                              "--retries", "--group-timeout"))
 
     p_trace = sub.add_parser(
         "trace",
@@ -440,7 +455,8 @@ def _report_failures(items) -> int:
     return 1
 
 
-def _compile_file(path: str, args, profile=None) -> tuple:
+def _compile_file(path: str, args, tracer=None) -> tuple:
+    from .obs.trace import active_tracer
     from .opt.driver import compile_source
 
     with open(path, encoding="utf-8") as handle:
@@ -450,7 +466,7 @@ def _compile_file(path: str, args, profile=None) -> tuple:
         unroll=getattr(args, "unroll", 1),
         careful=getattr(args, "careful", False),
     )
-    program = compile_source(source, options, profile)
+    program = compile_source(source, options, active_tracer(tracer))
     return program, interp_run(program)
 
 
@@ -617,19 +633,24 @@ def _cmd_measure(args) -> int:
         print(format_table(["machine", "base cycles", "instr/cycle"], rows))
         return 0
 
-    from .obs.profile import CompileProfile
+    from .obs.profile import compile_passes
     from .obs.schema import SCHEMA_VERSION
     from .obs.report import (
         emit_compile_events,
+        profile_seconds,
         render_profile_table,
         render_stall_table,
     )
+    from .obs.trace import Tracer
 
-    profile = CompileProfile()
+    tracer = Tracer()
     with _open_recorder(args.report) as recorder:
         recorder.emit("run_start", schema=SCHEMA_VERSION,
                       run_id=args.target)
-        _program, result = _compile_file(args.target, args, profile)
+        with tracer.span("compile.run", cat="compile",
+                         benchmark=args.target) as compile_span:
+            _program, result = _compile_file(args.target, args, tracer)
+        profile = compile_passes(tracer.spans, compile_span)
         emit_compile_events(recorder, args.target, profile)
         print(f"result: {result.value}   "
               f"dynamic instructions: {result.instructions}")
@@ -645,7 +666,7 @@ def _cmd_measure(args) -> int:
         print(render_stall_table(
             timings, title="stall attribution (minor cycles)"
         ))
-        recorder.emit("run_end", seconds=profile.total_seconds(),
+        recorder.emit("run_end", seconds=profile_seconds(profile),
                       counters=dict(recorder.counters))
     if args.report is not None:
         print(f"\nJSONL report written to {args.report}")
@@ -892,7 +913,8 @@ def _cmd_report(args) -> int:
               f"(conservation law: {'holds' if ok else 'VIOLATED'})")
     # JSON mode keeps stdout machine-parseable; the status goes to stderr.
     print(status, file=sys.stderr if fmt == "json" else sys.stdout)
-    return 0 if ok else 1
+    failed = _report_failures(report.cells)
+    return 0 if ok and not failed else 1
 
 
 def _load_report_events(path: str, command: str):

@@ -113,19 +113,21 @@ def _with_scheduler(options: CompilerOptions | None,
 
 
 def compile(source: str, *, options: CompilerOptions | None = None,
-            profile=None, scheduler: str | None = None) -> Program:
+            tracer=None, scheduler: str | None = None) -> Program:
     """Compile Tin source text into a scheduled :class:`Program`.
 
-    ``options`` defaults to the full optimization pipeline; ``profile``
-    (a :class:`~repro.obs.profile.CompileProfile`) collects pass-level
-    timing and size statistics when given.  ``scheduler`` selects the
-    scheduler backend by name (see :func:`schedulers`), overriding
-    ``options.scheduler`` when both are given.
+    ``options`` defaults to the full optimization pipeline; ``tracer``
+    (a :class:`~repro.obs.trace.Tracer`) receives one ``pass.<phase>``
+    span per pipeline phase, sized before and after (read them back
+    with :func:`repro.obs.profile.compile_passes`).  ``scheduler``
+    selects the scheduler backend by name (see :func:`schedulers`),
+    overriding ``options.scheduler`` when both are given.
     """
+    from .obs.trace import active_tracer
     from .opt.driver import compile_source
 
     return compile_source(source, _with_scheduler(options, scheduler),
-                          profile)
+                          active_tracer(tracer))
 
 
 def run(program: Program | str, *,

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..machine.config import MachineConfig
+from ..obs.trace import NULL_TRACER, Tracer
 from ..opt.options import CompilerOptions
 from ..sim.interp import RunResult, run
 from ..sim.timing import TimingResult, simulate
@@ -98,13 +99,15 @@ def run_benchmark(
     benchmark: Benchmark | str,
     options: CompilerOptions | None = None,
     max_instructions: int | None = None,
+    tracer: Tracer = NULL_TRACER,
 ) -> RunResult:
     """Compile and functionally execute a benchmark (memoized).
 
     ``max_instructions`` tightens the interpreter's runaway guard for
     this call (the engine's per-cell instruction budget); a run that
     completes within a budget is identical to an unbounded one, so the
-    memo key is unaffected.
+    memo key is unaffected.  ``tracer`` receives the compile driver's
+    ``pass.*`` spans; a memo hit compiles nothing and records none.
     """
     if isinstance(benchmark, str):
         benchmark = get(benchmark)
@@ -115,7 +118,7 @@ def run_benchmark(
         return cached
     from ..opt.driver import compile_source
 
-    program = compile_source(benchmark.source(), opts)
+    program = compile_source(benchmark.source(), opts, tracer)
     if max_instructions is None:
         result = run(program)
     else:
@@ -200,26 +203,6 @@ def measure(
     """
     result = run_benchmark(benchmark, options)
     return simulate(result.trace, config, observe=observe)
-
-
-def profile_benchmark(
-    benchmark: Benchmark | str,
-    options: CompilerOptions | None = None,
-):
-    """Compile a benchmark fresh with pass-level profiling.
-
-    Returns ``(program, CompileProfile)``.  Bypasses the run cache on
-    purpose: a memoized compile has no wall time to measure.
-    """
-    from ..obs.profile import CompileProfile
-    from ..opt.driver import compile_source as _compile_profiled
-
-    if isinstance(benchmark, str):
-        benchmark = get(benchmark)
-    opts = options or default_options(benchmark)
-    profile = CompileProfile()
-    program = _compile_profiled(benchmark.source(), opts, profile)
-    return program, profile
 
 
 def clear_cache() -> None:

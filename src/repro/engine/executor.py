@@ -41,7 +41,7 @@ from ..obs.trace import (
 )
 from ..opt.options import CompilerOptions
 from ..sim.memo import open_memo_store
-from ..sim.replay import BACKEND
+from ..sim.replay import BACKEND, ReplayStats
 from ..sim.timing import simulate
 from .cache import NULL_TRACE_CACHE, TraceCache, trace_key
 from .faults import NO_FAULTS, FaultPlan
@@ -99,6 +99,8 @@ class CellResult:
             minor_cycles=self.minor_cycles,
             base_cycles=self.base_cycles,
             stalls=self.stalls,
+            replay=(ReplayStats(**self.replay)
+                    if self.replay is not None else None),
         )
 
 
@@ -227,7 +229,9 @@ def acquire_run(
     then a compile whose run is stored back.  ``cached`` is True when
     no compile ran.  ``limits`` bounds the compile's instruction budget
     and checks RSS afterwards; ``faults``/``attempt`` may corrupt the
-    freshly stored entry.
+    freshly stored entry.  A compile runs under one ``compile.run``
+    span on ``tracer``, with the compile driver's ``pass.*`` spans
+    nested inside it.
     """
     bench = suite.get(benchmark)
     result = suite.cached_run(bench, options)
@@ -247,6 +251,7 @@ def acquire_run(
                              benchmark=benchmark):
                 result = suite.run_benchmark(
                     bench, options, max_instructions=limits.max_instructions,
+                    tracer=tracer,
                 )
             if key is not None:
                 with tracer.span("cache.put", cat="cache",

@@ -5,9 +5,9 @@ pipeline:
 
 * :mod:`repro.obs.stalls` — :class:`StallBreakdown`, the exact per-cause
   stall-cycle accounting produced by ``simulate(..., observe=True)``;
-* :mod:`repro.obs.profile` — :class:`CompileProfile` /
-  :class:`SchedStats`, pass-level wall-time and size deltas collected by
-  the compile driver;
+* :mod:`repro.obs.profile` — :class:`PassStat` and
+  :func:`compile_passes`, the per-pass compile profile read off the
+  compile driver's ``pass.*`` spans;
 * :mod:`repro.obs.recorder` — counters and structured JSONL event
   emission (:class:`Recorder`, :class:`JsonlRecorder`,
   :data:`NULL_RECORDER`);
@@ -34,7 +34,7 @@ pipeline:
 * :mod:`repro.obs.dash` — the self-contained static HTML dashboard
   (:func:`write_dashboard`).
 
-Everything here is opt-in: with no recorder/profile passed, the hot
+Everything here is opt-in: with no recorder/tracer passed, the hot
 paths run the exact same code as before this layer existed.
 """
 
@@ -49,8 +49,7 @@ __getattr__, __dir__ = _lazy.exports(__name__, globals(), {
     ".live": ("ProgressLine",),
     ".metrics": ("NULL_METRICS", "Histogram", "MetricsRegistry",
                  "NullMetrics", "active_metrics"),
-    ".profile": ("NULL_PROFILE", "CompileProfile", "PassStat", "SchedStats",
-                 "program_size"),
+    ".profile": ("PassStat", "compile_passes", "program_size"),
     ".recorder": ("NULL_RECORDER", "JsonlRecorder", "NullRecorder",
                   "Recorder", "active_recorder", "read_jsonl",
                   "read_jsonl_tolerant"),
@@ -66,12 +65,10 @@ __all__ = [
     "DEFAULT_LEDGER_PATH",
     "EVENT_SCHEMA",
     "NULL_METRICS",
-    "NULL_PROFILE",
     "NULL_RECORDER",
     "NULL_TRACER",
     "SCHEMA_VERSION",
     "STALL_CAUSES",
-    "CompileProfile",
     "DiffEntry",
     "DiffPolicy",
     "DiffResult",
@@ -88,7 +85,6 @@ __all__ = [
     "ProgressLine",
     "Recorder",
     "ResourceSampler",
-    "SchedStats",
     "Span",
     "StallBreakdown",
     "Tracer",
@@ -96,6 +92,7 @@ __all__ = [
     "active_recorder",
     "active_tracer",
     "chrome_trace",
+    "compile_passes",
     "cpu_seconds",
     "default_ledger_path",
     "diff_payloads",

@@ -1,23 +1,22 @@
-"""Pass-level compile profiling.
+"""Pass-level compile profiles, read off the tracer's native spans.
 
-A :class:`CompileProfile` is threaded through
-:func:`repro.opt.driver.compile_module`: every phase of the pipeline is
-timed and sized (instruction/block counts before and after), so a run
-report can show what each pass did to the program and what it cost.
-:data:`NULL_PROFILE` is the disabled no-op — the driver always calls the
-same ``profile.measure(...)`` API and pays nothing when profiling is off.
-
-The scheduler additionally reports per-block counts through
-:class:`SchedStats` (blocks visited vs. actually scheduled), attached to
-the profile by the driver.
+The compile driver (:func:`repro.opt.driver.compile_module`) opens one
+``pass.<phase>`` span per pipeline phase on the tracer it is given.
+With an enabled tracer each span carries the program's instruction and
+block counts before and after the phase in its args, and the
+``pass.schedule`` span also counts the blocks the scheduler reorders
+(those with more than two instructions) and their instructions.
+:func:`compile_passes` turns one ``compile.run`` span's ``pass.*``
+children into :class:`PassStat` rows, so the span tracer is the only
+clock behind a compile profile.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+
+#: Name prefix of the driver's per-phase spans.
+PASS_PREFIX = "pass."
 
 
 def program_size(program) -> tuple[int, int]:
@@ -36,7 +35,9 @@ class PassStat:
     """One pipeline phase: wall time and program size before/after.
 
     Size fields are -1 for phases that run before code generation (there
-    is no instruction stream to count yet).
+    is no instruction stream to count yet).  ``sched_blocks`` and
+    ``sched_instrs`` count the blocks the scheduler reorders and their
+    instructions; they are -1 on every phase but ``schedule``.
     """
 
     name: str
@@ -45,6 +46,8 @@ class PassStat:
     instrs_after: int = -1
     blocks_before: int = -1
     blocks_after: int = -1
+    sched_blocks: int = -1
+    sched_instrs: int = -1
 
     @property
     def instr_delta(self) -> int:
@@ -64,98 +67,27 @@ class PassStat:
         }
 
 
-@dataclass(slots=True)
-class SchedStats:
-    """List-scheduler activity across one compilation."""
+def compile_passes(spans, compile_span) -> list[PassStat]:
+    """The ``pass.*`` children of ``compile_span``, in run order.
 
-    blocks_seen: int = 0
-    blocks_scheduled: int = 0
-    instructions: int = 0
-    seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "blocks_seen": self.blocks_seen,
-            "blocks_scheduled": self.blocks_scheduled,
-            "instructions": self.instructions,
-            "seconds": self.seconds,
-        }
-
-
-class CompileProfile:
-    """Ordered pass statistics for one compilation."""
-
-    __slots__ = ("passes", "sched")
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self.passes: list[PassStat] = []
-        self.sched: SchedStats | None = None
-
-    @contextmanager
-    def measure(self, name: str, program=None) -> Iterator[None]:
-        """Time one phase; ``program`` (if given) is sized before/after."""
-        if program is not None:
-            instrs_before, blocks_before = program_size(program)
-        else:
-            instrs_before = blocks_before = -1
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            seconds = time.perf_counter() - start
-            if program is not None:
-                instrs_after, blocks_after = program_size(program)
-            else:
-                instrs_after = blocks_after = -1
-            self.passes.append(PassStat(
-                name=name,
-                seconds=seconds,
-                instrs_before=instrs_before,
-                instrs_after=instrs_after,
-                blocks_before=blocks_before,
-                blocks_after=blocks_after,
-            ))
-
-    def total_seconds(self) -> float:
-        """Wall time across every recorded pass."""
-        return sum(p.seconds for p in self.passes)
-
-    def as_rows(self) -> list[list[object]]:
-        """Table rows: pass, ms, instrs before -> after, blocks."""
-        rows: list[list[object]] = []
-        for p in self.passes:
-            rows.append([
-                p.name,
-                p.seconds * 1e3,
-                "-" if p.instrs_before < 0 else p.instrs_before,
-                "-" if p.instrs_after < 0 else p.instrs_after,
-                "-" if p.instrs_before < 0 else f"{p.instr_delta:+d}",
-                "-" if p.blocks_after < 0 else p.blocks_after,
-            ])
-        return rows
-
-    def as_dict(self) -> dict:
-        return {
-            "n_passes": len(self.passes),
-            "seconds": self.total_seconds(),
-            "passes": [p.as_dict() for p in self.passes],
-            "sched": self.sched.as_dict() if self.sched else None,
-        }
-
-
-class NullCompileProfile(CompileProfile):
-    """Profile sink that measures nothing (the default path)."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    @contextmanager
-    def measure(self, name: str, program=None) -> Iterator[None]:
-        yield
-
-
-#: Shared disabled profile; the driver uses it when none is supplied.
-NULL_PROFILE = NullCompileProfile()
+    ``spans`` is the tracer's span list (or spans rebuilt from a JSONL
+    report); children are found by parent id, so spans merged from a
+    worker process resolve the same way.
+    """
+    stats = []
+    for span in spans:
+        if (span.parent_id != compile_span.span_id
+                or not span.name.startswith(PASS_PREFIX)):
+            continue
+        args = span.args
+        stats.append(PassStat(
+            name=span.name[len(PASS_PREFIX):],
+            seconds=max(0, span.dur_ns) / 1e9,
+            instrs_before=args.get("instrs_before", -1),
+            instrs_after=args.get("instrs_after", -1),
+            blocks_before=args.get("blocks_before", -1),
+            blocks_after=args.get("blocks_after", -1),
+            sched_blocks=args.get("sched_blocks", -1),
+            sched_instrs=args.get("sched_instrs", -1),
+        ))
+    return stats

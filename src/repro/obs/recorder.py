@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import json
 import threading
-import time
-from contextlib import contextmanager
-from typing import IO, Iterator
+from typing import IO
 
 __all__ = [
     "Recorder",
@@ -60,15 +58,6 @@ class Recorder:
     def _write(self, record: dict) -> None:  # overridden by JsonlRecorder
         pass
 
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Time a block; accumulates into counter ``<name>.seconds``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.incr(f"{name}.seconds", time.perf_counter() - start)
-
     def events_named(self, event: str) -> list[dict]:
         """All recorded events of one type, in order."""
         return [e for e in self.events if e["event"] == event]
@@ -97,10 +86,6 @@ class NullRecorder(Recorder):
 
     def emit(self, event: str, /, **fields) -> None:
         pass
-
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        yield
 
 
 #: Shared no-op sink; safe to pass anywhere a recorder is expected.

@@ -1,29 +1,28 @@
 """Structured run reports: suite-wide stall attribution + compile profiles.
 
-``build_suite_report`` compiles and runs benchmarks with pass-level
-profiling, replays every trace with stall attribution on a set of
-machines, and emits the whole run as JSONL events through a recorder —
-the machine-readable report archived by CI (``results/run_report.jsonl``)
-and validated by ``scripts/check_report_schema.py``.  The same data
-renders as ASCII tables for the ``repro report`` / ``measure --profile``
-CLI paths.
+``build_suite_report`` runs benchmarks through the execution engine
+(:func:`repro.engine.executor.execute`) with stall attribution on a set
+of machines, reads each benchmark's compile profile off the compile
+driver's ``pass.*`` spans, and emits the whole run as JSONL events
+through a recorder — the machine-readable report archived by CI
+(``results/run_report.jsonl``) and validated by
+``scripts/check_report_schema.py``.  The same data renders as ASCII
+tables for the ``repro report`` / ``measure --profile`` CLI paths.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..analysis.tables import format_table
 from ..machine.config import MachineConfig
 from ..machine.presets import paper_machines
-from ..opt.options import CompilerOptions
-from ..sim.timing import TimingResult, simulate
-from .profile import CompileProfile
+from ..sim.timing import TimingResult
+from .profile import PassStat, compile_passes
 from .recorder import Recorder, active_recorder
 from .schema import SCHEMA_VERSION
 from .stalls import STALL_CAUSES
-from .trace import Tracer, active_tracer, emit_span_events
+from .trace import Tracer, emit_span_events
 
 #: Table headers shared by every stall-breakdown rendering.
 _STALL_HEADERS = ["machine", "base cycles", "instr/cycle", "raw_dep",
@@ -64,18 +63,50 @@ def render_stall_table(
     )
 
 
+def profile_seconds(profile: list[PassStat]) -> float:
+    """Wall time across every pass of a compile profile."""
+    return sum(p.seconds for p in profile)
+
+
+def _sched_counts(profile: list[PassStat]) -> dict | None:
+    """The scheduler's block counts from the profile's ``schedule`` pass
+    (None when the compile did not schedule)."""
+    for p in profile:
+        if p.sched_blocks >= 0:
+            return {
+                "blocks_seen": p.blocks_after,
+                "blocks_scheduled": p.sched_blocks,
+                "instructions": p.sched_instrs,
+            }
+    return None
+
+
 def render_profile_table(
-    profile: CompileProfile, title: str | None = None
+    profile: list[PassStat], title: str | None = None
 ) -> str:
-    """Render a compile profile as a per-pass table."""
-    text = format_table(_PROFILE_HEADERS, profile.as_rows(), title=title)
-    if profile.sched is not None:
-        sched = profile.sched
-        text += (
-            f"\nscheduler: {sched.blocks_scheduled}/{sched.blocks_seen} "
-            f"blocks scheduled, {sched.instructions} instructions, "
-            f"{sched.seconds * 1e3:.1f} ms"
-        )
+    """Render a compile profile (see :func:`compile_passes`) as a
+    per-pass table."""
+    if not profile:
+        return f"{title or 'compile profile'}: no compile in this run"
+    rows = [
+        [
+            p.name,
+            p.seconds * 1e3,
+            "-" if p.instrs_before < 0 else p.instrs_before,
+            "-" if p.instrs_after < 0 else p.instrs_after,
+            "-" if p.instrs_before < 0 else f"{p.instr_delta:+d}",
+            "-" if p.blocks_after < 0 else p.blocks_after,
+        ]
+        for p in profile
+    ]
+    text = format_table(_PROFILE_HEADERS, rows, title=title)
+    for p in profile:
+        if p.sched_blocks >= 0:
+            text += (
+                f"\nscheduler: {p.sched_blocks}/{p.blocks_after} blocks "
+                f"scheduled, {p.sched_instrs} instructions, "
+                f"{p.seconds * 1e3:.1f} ms"
+            )
     return text
 
 
@@ -86,7 +117,8 @@ class BenchmarkReport:
     benchmark: str
     checksum_ok: bool
     instructions: int
-    profile: CompileProfile
+    #: per-pass compile profile; empty when this run compiled nothing
+    profile: list[PassStat]
     timings: list[TimingResult]
 
     def render(self) -> str:
@@ -152,6 +184,9 @@ class RunReport:
     run_id: str
     seconds: float
     benchmarks: list[BenchmarkReport]
+    #: the engine's cell results in plan order, each with its
+    #: supervision ``status`` (ok / retried / degraded / failed)
+    cells: list
 
     def render(self) -> str:
         parts = [br.render() for br in self.benchmarks]
@@ -173,8 +208,8 @@ class RunReport:
                     "benchmark": br.benchmark,
                     "checksum_ok": br.checksum_ok,
                     "instructions": br.instructions,
-                    "compile_seconds": br.profile.total_seconds(),
-                    "passes": [s.as_dict() for s in br.profile.passes],
+                    "compile_seconds": profile_seconds(br.profile),
+                    "passes": [s.as_dict() for s in br.profile],
                     "timings": [t.as_dict() for t in br.timings],
                 }
                 for br in self.benchmarks
@@ -189,11 +224,12 @@ class RunReport:
                  f"{self.seconds:.2f}s"]
         for br in self.benchmarks:
             checksum = "ok" if br.checksum_ok else "**MISMATCH**"
+            compiled = (f"compiled in {profile_seconds(br.profile) * 1e3:.1f}"
+                        " ms" if br.profile else "no compile in this run")
             parts.append(
                 f"### {br.benchmark}\n\n"
                 f"{br.instructions} dynamic instructions, "
-                f"checksum {checksum}, compiled in "
-                f"{br.profile.total_seconds() * 1e3:.1f} ms"
+                f"checksum {checksum}, {compiled}"
             )
             parts.append(_markdown_table(
                 _STALL_HEADERS, [stall_row(t) for t in br.timings]
@@ -214,87 +250,19 @@ class RunReport:
 
 
 def emit_compile_events(
-    recorder: Recorder, benchmark: str, profile: CompileProfile
+    recorder: Recorder, benchmark: str, profile: list[PassStat]
 ) -> None:
     """Emit one ``compile_pass`` event per pass plus a ``compile`` roll-up."""
-    for stat in profile.passes:
+    for stat in profile:
         recorder.emit("compile_pass", benchmark=benchmark,
                       **stat.as_dict())
     recorder.emit(
         "compile",
         benchmark=benchmark,
-        seconds=profile.total_seconds(),
-        n_passes=len(profile.passes),
-        sched=profile.sched.as_dict() if profile.sched else None,
+        seconds=profile_seconds(profile),
+        n_passes=len(profile),
+        sched=_sched_counts(profile),
     )
-
-
-def observe_benchmark(
-    bench,
-    machines: list[MachineConfig],
-    options: CompilerOptions | None = None,
-    recorder: Recorder | None = None,
-    tracer: Tracer | None = None,
-) -> BenchmarkReport:
-    """Compile, run, and measure one benchmark with full observability.
-
-    ``tracer`` (optional) receives one ``observe`` span per benchmark
-    with nested ``compile.run``/``simulate`` children.
-    """
-    from ..benchmarks import suite
-    from ..sim.interp import run as interp_run
-    from ..opt.driver import compile_source
-
-    rec = active_recorder(recorder)
-    tr = active_tracer(tracer)
-    if isinstance(bench, str):
-        bench = suite.get(bench)
-    opts = options or suite.default_options(bench)
-    profile = CompileProfile()
-    with tr.span("observe", cat="report", benchmark=bench.name):
-        with tr.span("compile.run", cat="compile", benchmark=bench.name):
-            program = compile_source(bench.source(), opts, profile)
-        emit_compile_events(rec, bench.name, profile)
-
-        result = interp_run(program)
-        ok = abs(result.value - bench.reference()) <= bench.fp_tolerance
-        timings = []
-        for config in machines:
-            with tr.span("simulate", cat="sim", benchmark=bench.name,
-                         machine=config.name):
-                timing = simulate(result.trace, config, observe=True)
-            timings.append(timing)
-            rec.emit("timing", benchmark=bench.name, **timing.as_dict())
-            rec.incr("timings")
-        rec.incr("benchmarks")
-    return BenchmarkReport(
-        benchmark=bench.name,
-        checksum_ok=ok,
-        instructions=result.instructions,
-        profile=profile,
-        timings=timings,
-    )
-
-
-def _observe_task(payload: tuple) -> "BenchmarkReport":
-    """Pool entry point: observe one benchmark without a recorder.
-
-    Compile profiling measures real wall time, so reports always compile
-    fresh (no trace cache); the worker returns the picklable
-    :class:`BenchmarkReport` and the parent re-emits its events.
-    """
-    bench_name, machines = payload
-    return observe_benchmark(bench_name, machines)
-
-
-def _emit_benchmark_events(rec: Recorder, report: "BenchmarkReport") -> None:
-    """Re-emit one worker-produced benchmark report as recorder events,
-    mirroring what :func:`observe_benchmark` emits when run inline."""
-    emit_compile_events(rec, report.benchmark, report.profile)
-    for timing in report.timings:
-        rec.emit("timing", benchmark=report.benchmark, **timing.as_dict())
-        rec.incr("timings")
-    rec.incr("benchmarks")
 
 
 def build_suite_report(
@@ -307,84 +275,73 @@ def build_suite_report(
 ) -> RunReport:
     """Observe the whole suite (or a subset) and return the run report.
 
-    All events stream through ``recorder`` as the run progresses, so a
-    :class:`~repro.obs.recorder.JsonlRecorder` yields a complete JSONL
-    report even if rendering is never requested.  With ``workers>1``
-    benchmarks are observed in parallel processes; workers return
-    picklable :class:`BenchmarkReport` payloads and the parent emits
-    their events in suite order, so the JSONL content matches the serial
-    run.  A worker failure (crashed process, broken pool) degrades that
-    benchmark to an in-process rerun instead of aborting the report.
+    The run is ``plan_sweep(benchmarks, machines, observe=True)``
+    executed by :func:`repro.engine.executor.execute` with no disk
+    cache.  ``workers>1`` fans compile groups across the engine's
+    supervised pool: a crashed or hung worker costs retries, not the
+    report, and each cell carries its supervision status
+    (:attr:`RunReport.cells`).  Each benchmark's compile profile is
+    read off the ``pass.*`` spans under its ``compile.run`` span
+    (:func:`~repro.obs.profile.compile_passes`).
 
-    ``tracer`` collects the run's span timeline; when ``None`` one is
-    created automatically iff a recorder is active, and its spans are
-    emitted as ``span`` events just before ``run_end``.
+    Compile units already held in :mod:`repro.benchmarks.suite`'s
+    in-process run memo are not recompiled (forked pool workers inherit
+    that memo), so such a benchmark reports "no compile in this run"
+    and an empty profile.  A fresh ``repro report`` process compiles
+    every benchmark.
+
+    Events go through ``recorder`` in suite order once the engine has
+    finished: per benchmark its ``compile_pass``/``compile`` events and
+    one ``timing`` event per measured machine, then the run's ``span``
+    events and ``run_end``.  ``tracer`` collects the span timeline; a
+    private :class:`~repro.obs.trace.Tracer` is used when it is
+    ``None`` or disabled, since the compile profiles are read off it.
     """
     from ..benchmarks import suite
+    from ..engine.executor import execute
+    from ..engine.plan import plan_sweep
 
     rec = active_recorder(recorder)
-    # Like the engine: tracing is on whenever a recorder is (the JSONL
-    # report then carries the span timeline), opt-out via NULL_TRACER.
-    tr = tracer if tracer is not None else (
-        Tracer() if rec.enabled else active_tracer(None))
+    tr = tracer if tracer is not None and tracer.enabled else Tracer()
     configs = (list(machines) if machines is not None
                else default_report_machines())
     benchs = benchmarks if benchmarks is not None else suite.all_benchmarks()
+    names = [b if isinstance(b, str) else b.name for b in benchs]
     rec.emit("run_start", schema=SCHEMA_VERSION, run_id=run_id,
              machines=[c.name for c in configs],
              stall_causes=list(STALL_CAUSES))
-    start = time.perf_counter()
+    first_span = len(tr.spans)
     with tr.span("report.run", cat="report", run_id=run_id,
-                 benchmarks=len(benchs)):
-        if workers <= 1 or len(benchs) <= 1:
-            reports = [
-                observe_benchmark(bench, configs, recorder=rec, tracer=tr)
-                for bench in benchs
-            ]
-        else:
-            names = [b if isinstance(b, str) else b.name for b in benchs]
-            with tr.span("observe.parallel", cat="report",
-                         workers=workers):
-                worker_reports = _observe_parallel(names, configs, workers)
-            reports = []
-            for name, report in zip(names, worker_reports):
-                if report is None:
-                    # Worker lost to a crash or broken pool: degrade to
-                    # an in-process rerun so the report still covers the
-                    # suite.
-                    report = observe_benchmark(name, configs, tracer=tr)
-                _emit_benchmark_events(rec, report)
-                reports.append(report)
-    seconds = time.perf_counter() - start
+                 benchmarks=len(names)) as run_span:
+        result = execute(plan_sweep(names, configs, observe=True),
+                         workers=workers, tracer=tr)
+    seconds = run_span.dur_ns / 1e9
+
+    spans = tr.spans[first_span:]
+    # A retried group may compile more than once; the last one counts.
+    compiles = {s.args.get("benchmark"): s for s in spans
+                if s.name == "compile.run"}
+    reports = []
+    for name in names:
+        cells = [c for c in result.cells
+                 if c.benchmark == name and c.status != "failed"]
+        compile_span = compiles.get(name)
+        profile = (compile_passes(spans, compile_span)
+                   if compile_span is not None else [])
+        report = BenchmarkReport(
+            benchmark=name,
+            checksum_ok=bool(cells) and cells[0].checksum_ok,
+            instructions=cells[0].instructions if cells else 0,
+            profile=profile,
+            timings=[c.to_timing() for c in cells],
+        )
+        emit_compile_events(rec, name, profile)
+        for timing in report.timings:
+            rec.emit("timing", benchmark=name, **timing.as_dict())
+            rec.incr("timings")
+        rec.incr("benchmarks")
+        reports.append(report)
     emit_span_events(rec, tr)
     rec.emit("run_end", seconds=seconds, counters=dict(rec.counters))
-    return RunReport(run_id=run_id, seconds=seconds, benchmarks=reports)
-
-
-def _observe_parallel(
-    names: list[str], configs: list[MachineConfig], workers: int
-) -> list["BenchmarkReport | None"]:
-    """Observe benchmarks across a pool; ``None`` marks lost workers.
-
-    One crashed worker breaks a whole :class:`ProcessPoolExecutor`, so
-    each benchmark gets its own future and failures are recorded per
-    benchmark rather than letting ``pool.map`` raise away every result.
-    """
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-    results: list["BenchmarkReport | None"] = [None] * len(names)
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_observe_task, (name, configs))
-                for name in names
-            ]
-            for i, future in enumerate(futures):
-                try:
-                    results[i] = future.result()
-                except (BrokenExecutor, OSError):
-                    continue  # degraded serially by the caller
-    except BrokenExecutor:
-        pass
-    return results
-
+    return RunReport(run_id=run_id, seconds=seconds, benchmarks=reports,
+                     cells=result.cells)

@@ -7,15 +7,15 @@ straight-line loop bodies), and ``"exact"`` (budgeted branch-and-bound
 optimal block schedules).  Select a backend via
 ``CompilerOptions(scheduler=...)``, ``api.compile(..., scheduler=...)``
 or the CLI's ``--scheduler``; every backend's output is checked by
-:mod:`repro.sched.validate`.  ``schedule_function``/``schedule_block``
-remain the historical list-scheduler entry points.
+:mod:`repro.sched.validate`.  ``schedule_block`` remains the historical
+list-scheduler entry point.
 """
 
 from .. import _lazy
 
 __getattr__, __dir__ = _lazy.exports(__name__, globals(), {
     ".dag": ("DepDAG", "build_dag"),
-    ".listsched": ("schedule_block", "schedule_function"),
+    ".listsched": ("schedule_block",),
     ".registry": ("SchedulerBackend",),
 })
 
@@ -25,6 +25,5 @@ __all__ = [
     "build_dag",
     "registry",
     "schedule_block",
-    "schedule_function",
     "validate",
 ]

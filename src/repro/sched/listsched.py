@@ -10,56 +10,22 @@ with the longest critical path to the end of the block.
 
 This is the default scheduler backend (see :mod:`repro.sched.registry`);
 its output is pinned bit-identical against golden schedules in
-``tests/golden/schedules.json``.  The module-level entry points
-(:func:`schedule_function` / :func:`schedule_block`) are the
-implementation.
+``tests/golden/schedules.json``.  The module-level
+:func:`schedule_block` is the implementation; the registry's
+:meth:`~repro.sched.registry.SchedulerBackend.schedule_function` drives
+it over a function.
 """
 
 from __future__ import annotations
 
-import time
-
 from ..errors import SchedulingError
-from ..isa.program import BasicBlock, Function
+from ..isa.program import BasicBlock
 from ..isa.registers import Reg
 from ..machine.config import MachineConfig
-from ..obs.profile import SchedStats
 from ..opt.options import AliasLevel
 from .dag import DepDAG, build_dag
 from .registry import SchedulerBackend, register
 from .validate import check_schedule
-
-
-def schedule_function(
-    fn: Function,
-    config: MachineConfig,
-    alias_level: AliasLevel = AliasLevel.CONSERVATIVE,
-    heuristic: str = "critical-path",
-    stats: SchedStats | None = None,
-) -> None:
-    """Schedule every basic block of ``fn`` in place.
-
-    ``stats`` (optional) accumulates per-block scheduler activity —
-    blocks visited vs. actually scheduled, instructions touched, wall
-    time — for the compile profile; ``None`` measures nothing.
-    """
-    if stats is None:
-        for block in fn.blocks:
-            if len(block.instrs) > 2:
-                schedule_block(
-                    block, config, alias_level, fn.home_bindings, heuristic
-                )
-        return
-    for block in fn.blocks:
-        stats.blocks_seen += 1
-        if len(block.instrs) > 2:
-            start = time.perf_counter()
-            schedule_block(
-                block, config, alias_level, fn.home_bindings, heuristic
-            )
-            stats.seconds += time.perf_counter() - start
-            stats.blocks_scheduled += 1
-            stats.instructions += len(block.instrs)
 
 
 def schedule_block(

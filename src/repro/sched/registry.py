@@ -28,13 +28,11 @@ from __future__ import annotations
 
 import abc
 import importlib
-import time
 
 from ..errors import SchedulingError
 from ..isa.program import BasicBlock, Function
 from ..isa.registers import Reg
 from ..machine.config import MachineConfig
-from ..obs.profile import SchedStats
 from ..opt.options import AliasLevel
 
 #: Heuristic spellings every backend accepts (the list scheduler's
@@ -47,8 +45,8 @@ class SchedulerBackend(abc.ABC):
 
     Subclasses implement :meth:`schedule_block`; the default
     :meth:`schedule_function` drives it over every block of a function
-    (skipping trivial blocks, accumulating :class:`SchedStats`), which
-    is the entry point the compile driver calls.  Backends needing
+    (skipping blocks of two instructions or fewer), which is the entry
+    point the compile driver calls.  Backends needing
     function-level context (e.g. loop structure) override
     :meth:`schedule_function` or :meth:`prepare_function`.
     """
@@ -85,7 +83,6 @@ class SchedulerBackend(abc.ABC):
         config: MachineConfig,
         alias_level: AliasLevel = AliasLevel.CONSERVATIVE,
         heuristic: str = "critical-path",
-        stats: SchedStats | None = None,
     ) -> None:
         """Schedule every basic block of ``fn`` in place."""
         if heuristic not in KNOWN_HEURISTICS:
@@ -93,24 +90,11 @@ class SchedulerBackend(abc.ABC):
                 f"unknown scheduling heuristic {heuristic!r}"
             )
         self.prepare_function(fn)
-        if stats is None:
-            for block in fn.blocks:
-                if len(block.instrs) > 2:
-                    self.schedule_block(
-                        block, config, alias_level, fn.home_bindings,
-                        heuristic,
-                    )
-            return
         for block in fn.blocks:
-            stats.blocks_seen += 1
             if len(block.instrs) > 2:
-                start = time.perf_counter()
                 self.schedule_block(
-                    block, config, alias_level, fn.home_bindings, heuristic
+                    block, config, alias_level, fn.home_bindings, heuristic,
                 )
-                stats.seconds += time.perf_counter() - start
-                stats.blocks_scheduled += 1
-                stats.instructions += len(block.instrs)
 
 
 _REGISTRY: dict[str, SchedulerBackend] = {}

@@ -92,6 +92,73 @@ class TestReportFormats:
         assert "whet" in out
 
 
+#: Engine flags each command does not honour, and so does not register.
+REMOVED_ENGINE_FLAGS = {
+    "report": ["--cache-dir", "--no-cache", "--retries", "--group-timeout",
+               "--faults", "--live", "--sample-resources"],
+    "exhibit": ["--retries", "--group-timeout", "--faults", "--trace-out",
+                "--live", "--sample-resources"],
+    "gap": ["--faults", "--trace-out", "--live", "--sample-resources",
+            "--scheduler"],
+}
+
+#: A value for each engine flag that takes one (switches take none).
+FLAG_VALUES = {
+    "--workers": "2", "--cache-dir": "c", "--retries": "1",
+    "--group-timeout": "5", "--faults": "crash@whet", "--trace-out": "t",
+    "--scheduler": "list",
+}
+
+KEPT_ENGINE_FLAGS = {
+    "measure": ["--workers", "--cache-dir", "--no-cache", "--retries",
+                "--group-timeout", "--faults", "--trace-out", "--live",
+                "--sample-resources", "--scheduler"],
+    "suite": ["--workers", "--cache-dir", "--no-cache", "--retries",
+              "--group-timeout", "--faults", "--trace-out", "--live",
+              "--sample-resources", "--scheduler"],
+    "report": ["--workers", "--trace-out", "--scheduler"],
+    "exhibit": ["--workers", "--cache-dir", "--no-cache", "--scheduler"],
+    "gap": ["--workers", "--cache-dir", "--no-cache", "--retries",
+            "--group-timeout"],
+}
+
+#: Positional arguments each command needs to parse.
+COMMAND_ARGS = {"measure": ["whet"], "suite": [], "report": [],
+                "exhibit": ["list"], "gap": []}
+
+
+def _flag_argv(command: str, flag: str) -> list[str]:
+    value = [FLAG_VALUES[flag]] if flag in FLAG_VALUES else []
+    return [command, *COMMAND_ARGS[command], flag, *value]
+
+
+class TestEngineFlags:
+    """Each command registers only the engine flags it honours."""
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flags in REMOVED_ENGINE_FLAGS.items()
+        for flag in flags
+    ])
+    def test_unhonoured_flag_is_rejected(self, command, flag, capsys):
+        from repro.__main__ import _build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(_flag_argv(command, flag))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flags in KEPT_ENGINE_FLAGS.items()
+        for flag in flags
+    ])
+    def test_honoured_flag_parses(self, command, flag):
+        from repro.__main__ import _build_parser
+
+        args = _build_parser().parse_args(_flag_argv(command, flag))
+        value = getattr(args, flag[2:].replace("-", "_"))
+        assert value not in (None, False)
+
+
 class TestDriver:
     def test_opt_level_ordering_monotone_instruction_count(self):
         counts = []

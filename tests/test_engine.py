@@ -343,7 +343,7 @@ class TestApiSurface:
 
     EXPECTED = {
         "compile": "(source: 'str', *, options: "
-                   "'CompilerOptions | None' = None, profile=None, "
+                   "'CompilerOptions | None' = None, tracer=None, "
                    "scheduler: 'str | None' = None) -> 'Program'",
         "run": "(program: 'Program | str', *, options: "
                "'CompilerOptions | None' = None) -> 'RunResult'",

@@ -8,10 +8,14 @@ machines.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.benchmarks import suite
 from repro.errors import TraceError
 from repro.isa import InstrClass, Opcode, build
 from repro.isa.registers import virtual
@@ -23,12 +27,13 @@ from repro.machine import (
     unit,
 )
 from repro.obs import (
-    NULL_PROFILE,
     NULL_RECORDER,
+    NULL_TRACER,
     STALL_CAUSES,
-    CompileProfile,
     Recorder,
     StallBreakdown,
+    Tracer,
+    compile_passes,
 )
 from repro.opt.driver import compile_source
 from repro.opt.options import CompilerOptions, OptLevel
@@ -336,69 +341,89 @@ class TestRecorder:
         assert rec.counters["runs"] == 3
         assert rec.events_named("timing")[0]["machine"] == "base"
 
-    def test_timer_accumulates(self):
-        rec = Recorder()
-        with rec.timer("phase"):
-            pass
-        with rec.timer("phase"):
-            pass
-        assert rec.counters["phase.seconds"] >= 0.0
-
     def test_null_recorder_records_nothing(self):
-        with NULL_RECORDER.timer("x"):
-            NULL_RECORDER.incr("a")
-            NULL_RECORDER.emit("timing", benchmark="x")
+        NULL_RECORDER.incr("a")
+        NULL_RECORDER.emit("timing", benchmark="x")
         assert NULL_RECORDER.counters == {}
         assert NULL_RECORDER.events == []
         assert not NULL_RECORDER.enabled
 
 
+PROFILE_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "compile_profile.json").read_text())
+
+
+def profiled_compile(source: str, options: CompilerOptions):
+    """Compile under a tracer; returns the pass profile read off the
+    ``pass.*`` spans under one ``compile.run`` span."""
+    tracer = Tracer()
+    with tracer.span("compile.run", cat="compile") as root:
+        compile_source(source, options, tracer)
+    return compile_passes(tracer.spans, root)
+
+
 class TestCompileProfile:
     def test_profiled_compile_records_passes(self):
-        profile = CompileProfile()
         source = (
             "proc main(): int { var i, s: int; s = 0; i = 0;"
             " while (i < 9) { s = s + i; i = i + 1; } return s; }"
         )
-        compile_source(source, CompilerOptions(), profile)
-        names = [p.name for p in profile.passes]
+        passes = profiled_compile(source, CompilerOptions())
+        names = [p.name for p in passes]
         assert names[0] == "parse"
         assert "codegen" in names and "schedule" in names
-        assert profile.total_seconds() > 0.0
-        assert profile.sched is not None
-        assert profile.sched.blocks_seen >= profile.sched.blocks_scheduled
+        assert sum(p.seconds for p in passes) > 0.0
+        by_name = {p.name: p for p in passes}
+        sched = by_name["schedule"]
+        assert sched.blocks_after >= sched.sched_blocks >= 0
         # codegen phases have no sizes; later phases do
-        by_name = {p.name: p for p in profile.passes}
         assert by_name["parse"].instrs_before == -1
         assert by_name["local-opt"].instrs_before > 0
         # local optimization never grows the program
         assert by_name["local-opt"].instr_delta <= 0
 
     def test_opt_level_controls_recorded_passes(self):
-        profile = CompileProfile()
-        compile_source(
+        passes = profiled_compile(
             "proc main(): int { return 3; }",
             CompilerOptions(opt_level=OptLevel.NONE),
-            profile,
         )
-        names = [p.name for p in profile.passes]
+        names = [p.name for p in passes]
         assert "local-opt" not in names
         assert "schedule" not in names
 
     def test_as_dict_and_rows(self):
-        profile = CompileProfile()
-        compile_source("proc main(): int { return 1 + 2; }",
-                       CompilerOptions(), profile)
-        payload = profile.as_dict()
-        assert payload["n_passes"] == len(profile.passes)
-        rows = profile.as_rows()
-        assert len(rows) == len(profile.passes)
+        passes = profiled_compile("proc main(): int { return 1 + 2; }",
+                                  CompilerOptions())
+        rows = [p.as_dict() for p in passes]
+        assert [r["pass"] for r in rows] == [p.name for p in passes]
+        assert all(r["seconds"] >= 0.0 for r in rows)
+
+    @pytest.mark.parametrize("name", sorted(PROFILE_GOLDEN))
+    def test_span_view_matches_golden(self, name):
+        """Pass names, sizes and scheduler counts equal the ones the
+        pass timer measured before the profile moved onto spans
+        (``tests/golden/compile_profile.json``)."""
+        bench = suite.get(name)
+        passes = profiled_compile(bench.source(),
+                                  suite.default_options(bench))
+        golden = PROFILE_GOLDEN[name]
+        assert [[p.name, p.instrs_before, p.instrs_after,
+                 p.blocks_before, p.blocks_after]
+                for p in passes] == golden["passes"]
+        sched = next(p for p in passes if p.name == "schedule")
+        assert {"blocks_seen": sched.blocks_after,
+                "blocks_scheduled": sched.sched_blocks,
+                "instructions": sched.sched_instrs} == golden["sched"]
+
+    def test_golden_covers_the_suite(self):
+        assert sorted(PROFILE_GOLDEN) == sorted(
+            b.name for b in suite.all_benchmarks())
 
     def test_null_profile_measures_nothing(self):
-        with NULL_PROFILE.measure("anything"):
-            pass
-        assert NULL_PROFILE.passes == []
-        assert not NULL_PROFILE.enabled
+        compile_source("proc main(): int { return 42; }",
+                       CompilerOptions(), NULL_TRACER)
+        assert NULL_TRACER.spans == []
+        assert not NULL_TRACER.enabled
 
     def test_default_compile_has_no_profiling_side_effects(self):
         program = compile_source("proc main(): int { return 42; }")

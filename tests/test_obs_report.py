@@ -50,6 +50,12 @@ def validator():
 @pytest.fixture(scope="module")
 def whet_report(tmp_path_factory):
     """One observed benchmark run, shared across the module's tests."""
+    from repro.benchmarks import suite
+
+    # A compile unit already in this process's run memo is not
+    # recompiled, and its report carries no compile profile; earlier
+    # test modules may have run whet.
+    suite.clear_cache()
     path = tmp_path_factory.mktemp("report") / "run.jsonl"
     with JsonlRecorder(path) as rec:
         report = build_suite_report(
@@ -172,6 +178,68 @@ class TestRunReport:
         names = [c.name for c in default_report_machines()]
         assert names[0] == "base"
         assert len(names) == len(set(names)) >= 5
+
+
+def _report_facts(report) -> list:
+    """Everything a report measures, minus wall-clock seconds."""
+    return [
+        (br.benchmark, br.checksum_ok, br.instructions,
+         [(p.name, p.instrs_before, p.instrs_after, p.blocks_before,
+           p.blocks_after, p.sched_blocks, p.sched_instrs)
+          for p in br.profile],
+         [(t.as_dict(), t.replay.as_dict()) for t in br.timings])
+        for br in report.benchmarks
+    ]
+
+
+class TestReportThroughEngine:
+    """``build_suite_report`` runs its cells through the engine."""
+
+    MACHINES = [base_machine(), ideal_superscalar(4)]
+
+    def test_workers_do_not_change_the_report(self):
+        from repro.benchmarks import suite
+
+        reports = []
+        for workers in (1, 2):
+            suite.clear_cache()
+            reports.append(build_suite_report(
+                benchmarks=["whet", "linpack"], machines=self.MACHINES,
+                workers=workers,
+            ))
+        serial, parallel = reports
+        assert _report_facts(serial) == _report_facts(parallel)
+        assert all(br.profile for br in parallel.benchmarks)
+        assert all(c.status == "ok" for c in parallel.cells)
+
+    def test_crashed_worker_is_retried_not_dropped(self, monkeypatch):
+        from repro.benchmarks import suite
+
+        suite.clear_cache()
+        monkeypatch.setenv("REPRO_FAULTS", "crash@whet#1")
+        report = build_suite_report(
+            benchmarks=["whet", "linpack"], machines=self.MACHINES,
+            workers=2,
+        )
+        assert [br.benchmark for br in report.benchmarks] == ["whet",
+                                                               "linpack"]
+        whet = report.benchmarks[0]
+        assert whet.checksum_ok and len(whet.timings) == 2
+        assert [p.name for p in whet.profile][0] == "parse"
+        assert [c.status for c in report.cells
+                if c.benchmark == "whet"] == ["retried", "retried"]
+        assert report.conservation_holds()
+
+    def test_memoized_unit_reports_no_compile(self):
+        from repro.benchmarks import suite
+
+        suite.clear_cache()
+        suite.run_benchmark("whet")
+        report = build_suite_report(benchmarks=["whet"],
+                                    machines=[base_machine()])
+        br = report.benchmarks[0]
+        assert br.profile == []
+        assert "no compile in this run" in br.render()
 
 
 class TestRendering:
@@ -495,6 +563,31 @@ class TestTraceCli:
         doc = json.loads(chrome.read_text())
         complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert any(e["name"] == "engine.run" for e in complete)
+
+    def test_suite_report_shows_passes_under_compile_run(self, tmp_path,
+                                                          capsys):
+        from repro.benchmarks import suite
+
+        suite.clear_cache()
+        path = tmp_path / "suite.jsonl"
+        assert main(["suite", "--benchmarks", "whet", "--machines", "base",
+                     "--no-cache", "--report", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["trace", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        def depth(line):
+            return len(line) - len(line.lstrip(" "))
+
+        compile_at = next(i for i, line in enumerate(lines)
+                          if line.split()[0] == "compile.run")
+        children = []
+        for line in lines[compile_at + 1:]:
+            if depth(line) <= depth(lines[compile_at]):
+                break
+            if depth(line) == depth(lines[compile_at]) + 2:
+                children.append(line.split()[0])
+        assert "pass.schedule" in children
 
     def test_report_without_spans_fails_clearly(self, tmp_path, capsys):
         path = tmp_path / "plain.jsonl"
