@@ -6,8 +6,9 @@ digests of the machine-independent replay plan built from its trace:
 the block schedule (:attr:`plan.schedule`), every block's static
 segments and, under NumPy, every array of the
 :class:`~repro.sim.replay_vec.PlanVec` view (with its dtype).
-``tests/test_replay_plan_golden.py`` rebuilds each plan and compares,
-so a faster :func:`~repro.sim.replay.build_plan` or
+``tests/test_replay_plan_golden.py`` rebuilds each plan, adopts it
+again from a stored plan entry and compares both, so a faster
+:func:`~repro.sim.replay.build_plan` or
 :func:`~repro.sim.replay_vec.build_plan_vec` must produce the very
 same plan.  The trace fingerprint is recorded too: when it differs, the
 trace changed, not the plan builder.
@@ -50,14 +51,25 @@ def _array_digest(a) -> list | None:
     return [str(a.dtype), hashlib.sha256(values.tobytes()).hexdigest()]
 
 
-def plan_digests(benchmark) -> dict:
-    """The digests of ``benchmark``'s replay plan, built fresh."""
+def built_plan(benchmark, persisted=None):
+    """``(trace, plan)`` for ``benchmark`` at its default options: the
+    plan (and, under NumPy, its ``PlanVec``) built fresh, or adopted
+    from the ``persisted`` plan entry when that fits."""
     from repro.benchmarks import suite
     from repro.sim import replay
 
     trace = suite.run_benchmark(
         benchmark, suite.default_options(benchmark)).trace
-    plan = replay.build_plan(trace)
+    plan = replay.build_plan(trace, persisted)
+    if replay.BACKEND == "numpy":
+        replay.plan_vec_for(plan, trace, persisted)
+    return trace, plan
+
+
+def plan_digests(trace, plan) -> dict:
+    """The digests of ``plan``, the replay plan of ``trace``."""
+    from repro.sim import replay
+
     out = {
         "trace": trace.fingerprint(),
         "events": len(plan.schedule),
@@ -66,12 +78,7 @@ def plan_digests(benchmark) -> dict:
         "segments": _sha(json.dumps([b.segments for b in plan.blocks])),
     }
     if replay.BACKEND == "numpy":
-        from repro.sim.replay_vec import build_plan_vec
-
-        entries, _ = replay._static_skeleton(trace)
-        pv = build_plan_vec(
-            trace, plan, entries,
-            lambda block: replay._block_dataflow(block, entries))
+        pv = plan.vec
         out["vec"] = {name: _array_digest(getattr(pv, name))
                       for name in PLAN_VEC_ARRAYS}
         out["vec"]["n_reg_slots"] = pv.n_reg_slots
@@ -86,7 +93,8 @@ def main() -> int:
     if BACKEND != "numpy":
         print("the PlanVec digests need NumPy", file=sys.stderr)
         return 2
-    golden = {b.name: plan_digests(b) for b in suite.all_benchmarks()}
+    golden = {b.name: plan_digests(*built_plan(b))
+              for b in suite.all_benchmarks()}
     with open(OUTPUT, "w", encoding="utf-8") as handle:
         json.dump(golden, handle, indent=1, sort_keys=True)
         handle.write("\n")

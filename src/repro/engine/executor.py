@@ -23,6 +23,7 @@ Deterministic faults can be injected for testing via
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -354,8 +355,34 @@ def _run_group(
             # from the store or rebuilds them.
             if result.trace._plan is not None:
                 result.trace._plan.vec = None
+            _trim_heap()
         memo.stats.record_to(metrics, "cache.memo_")
     return out, cached
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or ``None`` on other C libraries."""
+    import ctypes
+
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return None
+
+
+def _trim_heap() -> None:
+    """Give the C heap's free pages back to the OS (glibc only).
+
+    A group's plan arrays are its largest allocations.  Once freed,
+    their pages stay resident whenever a live block sits above them in
+    the heap, so without a trim the share of one group's memory that
+    outlives it, and with it the next group's peak RSS, would depend
+    on where the allocator happened to place things.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 def _run_group_task(payload: tuple):

@@ -83,6 +83,18 @@ def install_sigterm_handler() -> bool:
         return False
     return True
 
+
+def _default_sigterm() -> None:
+    """Pool worker initializer: give SIGTERM back its default action.
+
+    A forked worker inherits the parent's
+    :func:`install_sigterm_handler` handler, so a supervisor killing
+    the pool would make every idle worker raise ``KeyboardInterrupt``
+    and print its traceback instead of exiting quietly.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 #: Error kinds the retry ladder treats as transient (worth retrying).
 TRANSIENT_KINDS = frozenset({"crash", "hang", "corrupt", "unknown"})
 
@@ -512,7 +524,8 @@ def run_supervised(
     waiting: list = []      # backoff heap: (ready, seq, group, entered_ns)
     inflight: dict = {}                             # future -> (group, t0)
     seq = 0
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               initializer=_default_sigterm)
 
     def finish(group: _Group, outcome: GroupOutcome) -> None:
         group.outcome = outcome
@@ -523,7 +536,8 @@ def run_supervised(
         with tracer.span("pool.respawn", cat="resilience",
                          restart=stats.pool_restarts):
             _kill_pool(pool)
-            return ProcessPoolExecutor(max_workers=workers)
+            return ProcessPoolExecutor(max_workers=workers,
+                                       initializer=_default_sigterm)
 
     def degrade_or_fail(group: _Group, error: CellError) -> None:
         """The bottom of the worker ladder: serial rerun, then failed."""

@@ -23,10 +23,14 @@ mode (``observe``/``want_times`` — memo entries store mode-dependent
 payloads).
 
 Under the NumPy backend the namespace also holds one entry per trace
-(:func:`plan_key`): the replay plan's structure-of-arrays view
-(:func:`repro.sim.replay_vec.plan_vec_payload`), so a fresh process
-loads it instead of rebuilding it for every trace.  It is written only
-when the lookup missed.
+(:func:`plan_key`): the replay plan itself (schedule, block segments
+and merge knobs) and its structure-of-arrays view
+(:func:`repro.sim.replay_vec.plan_vec_payload`).  A fresh process
+adopts both instead of running the merge passes and the array build
+for every trace, once the plan's schedule, expanded through its block
+segments, matches the trace's runs exactly
+(:func:`repro.sim.replay_vec.adopt_plan`).  The entry is written only
+when the lookup missed or the entry did not fit.
 
 Lifetime
 --------
@@ -70,6 +74,8 @@ from .replay import (
     ReplayCore,
     ReplayOutcome,
     _replay_vec,
+    plan_for,
+    plan_vec_for,
 )
 from .trace import Trace
 
@@ -88,7 +94,7 @@ def memo_key(trace: Trace, config: MachineConfig, *,
 
 
 def plan_key(trace: Trace) -> str:
-    """Content hash identifying one trace's persisted plan arrays."""
+    """Content hash identifying one trace's persisted plan entry."""
     return _key("plan", trace.fingerprint())
 
 
@@ -142,18 +148,29 @@ def open_memo_store(cache) -> MemoStore:
     return MemoStore(os.path.join(cache.root, "memo"))
 
 
-def _attach_plan_vec(store: MemoStore, core: ReplayCore) -> None:
-    """Give ``core``'s plan its SoA view from the store, or build it and
-    store it when the lookup missed (NumPy backend only)."""
-    if BACKEND != "numpy" or core.plan.vec is not None:
+def _attach_plan(store: MemoStore, trace: Trace) -> None:
+    """Give ``trace`` its replay plan and the plan's SoA view from the
+    store's plan entry, or build them and store the entry when the
+    lookup missed or the entry did not fit (NumPy backend only).
+
+    A plan already in memory (built by an earlier replay in this
+    process) is kept; only its arrays are read from the entry.
+    """
+    plan = trace._plan
+    if BACKEND != "numpy" or (plan is not None and plan.vec is not None):
         return
-    key = plan_key(core.trace)
+    key = plan_key(trace)
     persisted = store.load(key)
-    pv = core._plan_vec(persisted)
+    fits = True
+    if plan is None:
+        plan = plan_for(trace, persisted)
+        fits = plan.loaded
+    # An entry whose plan was rejected gives no arrays either.
+    pv = plan_vec_for(plan, trace, persisted if fits else None)
     if not pv.loaded:
         if persisted is not None:
             store.reject(key)
-        store.store(key, _replay_vec.plan_vec_payload(pv))
+        store.store(key, _replay_vec.plan_vec_payload(plan))
 
 
 def replay_with_memo(
@@ -177,9 +194,9 @@ def replay_with_memo(
     key = memo_key(trace, config, observe=observe,
                    want_times=want_times)
     payload = store.load(key)
+    _attach_plan(store, trace)
     core = ReplayCore(trace, config, observe=observe,
                       want_times=want_times)
-    _attach_plan_vec(store, core)
     if payload is not None and not core.adopt_memo(payload):
         store.reject(key)
         payload = None

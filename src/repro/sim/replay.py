@@ -13,7 +13,9 @@ repeat at least ``min_repeat`` times merge into larger blocks (so a hot
 loop body, conditional arms included, collapses into one block per
 iteration shape).  The plan is machine-independent and deterministic: the
 same trace always yields the same plan, so parallel engine workers stay
-bit-identical to the serial path.
+bit-identical to the serial path.  Under NumPy the plan persists with
+its arrays in the memo store, and a fresh process adopts it instead of
+running the merge passes (:mod:`repro.sim.memo`).
 
 **Block memoization**: replaying a block is a pure function of a small
 *relative entry state*, measured against the entry cycle ``T0``:
@@ -205,9 +207,6 @@ def _static_records(
 #: block brings; sweeps showed one aggressive phase beats multi-phase
 #: schedules and larger caps on the paper grid.
 _MERGE_PHASES = ((20, 512),)
-#: Back-compat aliases for the first phase's knobs.
-_MIN_REPEAT = _MERGE_PHASES[0][0]
-_MAX_BLOCK_INSTRS = _MERGE_PHASES[0][1]
 #: Upper bound on merge passes (each pass at least halves hot sequences).
 _MAX_PASSES = 24
 #: A block is abandoned for memoization once it misses this often
@@ -256,6 +255,11 @@ class _Plan:
 
     blocks: list[_Block]
     schedule: list[int]
+    #: The merge knobs ``(phases, max_passes)`` the plan was built with.
+    knobs: tuple
+    #: True when the schedule and blocks were adopted from a persisted
+    #: plan entry rather than built by the merge passes.
+    loaded: bool = False
     #: Lazily built SoA view (:class:`repro.sim.replay_vec.PlanVec`);
     #: machine-independent, shared by every core replaying this trace.
     vec: object = None
@@ -286,6 +290,7 @@ def _merge_segments(
 
 def build_plan(
     trace: Trace,
+    persisted: dict | None = None,
     *,
     phases: tuple[tuple[int, int], ...] = _MERGE_PHASES,
     max_passes: int = _MAX_PASSES,
@@ -295,7 +300,14 @@ def build_plan(
     Pure function of the trace (and the tuning knobs): no randomness, no
     machine state — required so serial and parallel engine runs produce
     identical replay statistics.
+
+    With ``persisted`` (a plan entry,
+    :func:`repro.sim.replay_vec.plan_vec_payload`, NumPy backend) whose
+    plan fits the trace and the knobs
+    (:func:`repro.sim.replay_vec.adopt_plan`), the schedule and blocks
+    are taken from it and ``loaded`` is set: no merge pass runs.
     """
+    knobs = (phases, max_passes)
     entries, _ = _static_skeleton(trace)
     mem_prefix = [0] * (len(entries) + 1)
     acc = 0
@@ -303,6 +315,15 @@ def build_plan(
         if il or ist:
             acc += 1
         mem_prefix[i + 1] = acc
+
+    if persisted is not None and _replay_vec is not None:
+        adopted = _replay_vec.adopt_plan(trace, persisted, knobs,
+                                         mem_prefix)
+        if adopted is not None:
+            seq, segments, n_instrs, n_mem = adopted
+            blocks = [_Block(*block)
+                      for block in zip(segments, n_instrs, n_mem)]
+            return _counted(_Plan(blocks, seq, knobs, loaded=True))
 
     blocks: list[_Block] = []
     block_of_run: dict[tuple[int, int], int] = {}
@@ -360,12 +381,18 @@ def build_plan(
                 break
             seq = out
 
-    for bid, count in Counter(seq).items():
+    return _counted(_Plan(blocks, seq, knobs))
+
+
+def _counted(plan: _Plan) -> _Plan:
+    """``plan`` with every block's occurrence count and memo
+    eligibility filled in from the schedule."""
+    blocks = plan.blocks
+    for bid, count in Counter(plan.schedule).items():
         block = blocks[bid]
         block.count = count
         block.eligible = count >= 2
-
-    return _Plan(blocks=blocks, schedule=seq)
+    return plan
 
 
 def _block_dataflow(block: _Block, entries: list) -> None:
@@ -419,13 +446,29 @@ def _block_dataflow(block: _Block, entries: list) -> None:
     block.has_dataflow = True
 
 
-def plan_for(trace: Trace) -> _Plan:
-    """The (lazily built, cached) replay plan of ``trace``."""
+def plan_for(trace: Trace, persisted: dict | None = None) -> _Plan:
+    """The (lazily built, cached) replay plan of ``trace``; a first call
+    adopts it from the ``persisted`` plan entry when that fits."""
     plan = trace._plan
     if plan is None:
-        plan = build_plan(trace)
+        plan = build_plan(trace, persisted)
         trace._plan = plan
     return plan
+
+
+def plan_vec_for(plan: _Plan, trace: Trace, persisted=None):
+    """The (lazily built) SoA view of ``trace``'s ``plan``, shared per
+    trace; taken from the ``persisted`` plan entry's arrays when they
+    fit (NumPy backend only)."""
+    pv = plan.vec
+    if pv is None:
+        entries, _ = _static_skeleton(trace)
+        pv = _replay_vec.build_plan_vec(
+            trace, plan, entries,
+            lambda block: _block_dataflow(block, entries), persisted,
+        )
+        plan.vec = pv
+    return pv
 
 
 # --------------------------------------------------------------------------
@@ -570,19 +613,9 @@ class ReplayCore:
         #: backend): hits on them are live, not persisted.
         self._learned: set[int] = set()
 
-    def _plan_vec(self, persisted=None):
-        """The (lazily built) SoA view of the plan, shared per trace;
-        taken from ``persisted`` plan arrays when they fit."""
-        pv = self.plan.vec
-        if pv is None:
-            entries, _ = _static_skeleton(self.trace)
-            pv = _replay_vec.build_plan_vec(
-                self.trace, self.plan, entries,
-                lambda block: _block_dataflow(block, entries),
-                persisted,
-            )
-            self.plan.vec = pv
-        return pv
+    def _plan_vec(self):
+        """The (lazily built) SoA view of the plan, shared per trace."""
+        return plan_vec_for(self.plan, self.trace)
 
     def _flat_records(self) -> dict | None:
         """The flattened records (NumPy backend), flattening this

@@ -23,9 +23,12 @@ plan, materialized once per trace (:func:`build_plan_vec`):
 * cumulative issue-width state: the intra-cycle issue count entering
   and leaving every event.
 
-The machine-independent arrays persist once per trace as int32
-(:func:`plan_vec_payload`); :func:`build_plan_vec` takes them back
-instead of rebuilding when they fit the plan.
+The plan and its machine-independent arrays persist once per trace as
+int32 (:func:`plan_vec_payload`): :func:`adopt_plan` gives
+:func:`repro.sim.replay.build_plan` the stored schedule and block
+segments back once their expansion matches the trace, and
+:func:`build_plan_vec` takes the arrays back instead of rebuilding when
+they fit the plan.
 
 A first, scalar *resolving* run records per event the memo key it used
 and the relative-effect entry it applied (capturing equivalent records
@@ -66,8 +69,8 @@ import numpy as np
 #: after any ``T[src] + NEG - T[event]`` (cycle counts are < 2**40).
 _NEG = -(1 << 40)
 
-#: Format tag of persisted plan arrays (:func:`plan_vec_payload`).
-PLAN_VEC_FORMAT = "replay-plan-v1"
+#: Format tag of persisted plan entries (:func:`plan_vec_payload`).
+PLAN_VEC_FORMAT = "replay-plan-v2"
 
 #: The :class:`PlanVec` arrays persisted once per trace, all int32.
 #: Everything else on a plan view is derived from the plan itself in a
@@ -169,14 +172,30 @@ def _finish(pv):
     return pv
 
 
-def plan_vec_payload(pv) -> dict:
-    """The persistable form of ``pv``: its :data:`PERSISTED` arrays."""
+def plan_vec_payload(plan) -> dict:
+    """The persistable form of ``plan`` and its SoA view ``plan.vec``:
+    the merge knobs it was built with, its schedule (one block id per
+    event), each block's segment count, the blocks' ``(start, length)``
+    segments as one n x 2 array, and the :data:`PERSISTED` arrays."""
+    pv = plan.vec
+    blocks = plan.blocks
+    segments = [seg for block in blocks for seg in block.segments]
     return {
         "format": PLAN_VEC_FORMAT,
+        "knobs": plan.knobs,
         "n_events": pv.n_events,
-        "n_blocks": len(pv.blk_store_off) - 1,
+        "n_blocks": len(blocks),
+        "schedule": pv.ev_bid,
+        "block_nseg": np.fromiter((len(b.segments) for b in blocks),
+                                  dtype=np.int32, count=len(blocks)),
+        "segments": np.asarray(segments, dtype=np.int32).reshape(-1, 2),
         "arrays": {name: getattr(pv, name) for name in PERSISTED},
     }
+
+
+def _is_int32(a, ndim: int) -> bool:
+    return (isinstance(a, np.ndarray) and a.dtype == np.int32
+            and a.ndim == ndim)
 
 
 def _in_range(a, hi) -> bool:
@@ -186,6 +205,64 @@ def _in_range(a, hi) -> bool:
 def _is_offsets(a, n) -> bool:
     return (a.size == n + 1 and a[0] == 0
             and bool((a[1:] >= a[:-1]).all()))
+
+
+def adopt_plan(trace, payload, knobs, mem_prefix):
+    """The plan stored in ``payload`` when it fits ``trace``, as lists
+    ``(schedule, segments, n_instrs, n_mem)`` (one entry per block for
+    the last three); ``None`` otherwise.
+
+    It fits when the format and merge ``knobs`` match, every block id
+    and segment lies in range, and the schedule, expanded through the
+    block segments, equals the trace's run sequence exactly.  (A merged
+    block fuses runs at a contiguous seam, so a trace whose runs are not
+    maximal, such as a hand-built :meth:`Trace.from_runs`, may never
+    fit; it keeps rebuilding its plan.)  The per-block instruction and
+    memory-op counts are derived from the segments (``mem_prefix[i]``:
+    memory ops among the first ``i`` static instructions), never read
+    from the payload.
+    """
+    try:
+        if (payload.get("format") != PLAN_VEC_FORMAT
+                or payload.get("knobs") != knobs):
+            return None
+        schedule = payload["schedule"]
+        nseg = payload["block_nseg"]
+        segs = payload["segments"]
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+    if not (_is_int32(schedule, 1) and _is_int32(nseg, 1)
+            and _is_int32(segs, 2) and segs.shape[1] == 2):
+        return None
+    n_blocks = nseg.size
+    starts = segs[:, 0].astype(np.int64)
+    lens = segs[:, 1].astype(np.int64)
+    seg_off = _offsets(nseg)
+    if not (int(seg_off[-1]) == starts.size
+            and (n_blocks == 0 or int(nseg.min()) >= 1)
+            and _in_range(schedule, n_blocks)
+            and (starts.size == 0
+                 or (int(starts.min()) >= 0 and int(lens.min()) >= 1
+                     and int((starts + lens).max()) <= len(trace.static)))):
+        return None
+    counts = nseg[schedule]
+    seg_of = (np.repeat(seg_off[schedule] - _offsets(counts)[:-1], counts)
+              + np.arange(int(counts.sum())))
+    if not (np.array_equal(starts[seg_of], np.frombuffer(
+                trace.run_starts, dtype=np.intc))
+            and np.array_equal(lens[seg_of], np.frombuffer(
+                trace.run_lengths, dtype=np.intc))):
+        return None
+    if n_blocks == 0:
+        return schedule.tolist(), [], [], []
+    prefix = np.asarray(mem_prefix, dtype=np.int64)
+    first = seg_off[:-1]
+    n_instrs = np.add.reduceat(lens, first)
+    n_mem = np.add.reduceat(prefix[starts + lens] - prefix[starts], first)
+    pairs = list(zip(starts.tolist(), lens.tolist()))
+    off = seg_off.tolist()
+    segments = [tuple(pairs[off[b]:off[b + 1]]) for b in range(n_blocks)]
+    return schedule.tolist(), segments, n_instrs.tolist(), n_mem.tolist()
 
 
 def _adopt_arrays(pv, payload, n_blocks: int, m_total: int) -> bool:
@@ -202,8 +279,7 @@ def _adopt_arrays(pv, payload, n_blocks: int, m_total: int) -> bool:
             a = arrays[name]
             if a is None and name == "alias_ids" and m_total == 0:
                 pass
-            elif not (isinstance(a, np.ndarray) and a.dtype == np.int32
-                      and a.ndim == 1):
+            elif not _is_int32(a, 1):
                 return False
             setattr(pv, name, a)
     except (AttributeError, KeyError, TypeError):

@@ -115,94 +115,3 @@ class TestCacheSimulation:
         assert result.loads == 0
         assert result.miss_rate == 0.0
 
-
-# ----------------------------------------------------------------------
-# On-disk trace cache robustness (repro.engine.cache)
-
-class TestDebrisJanitor:
-    """Startup sweep of orphaned ``*.tmp`` files (killed writers)."""
-
-    @staticmethod
-    def _plant(root, rel, age_seconds):
-        import os
-        import time as _time
-
-        path = os.path.join(str(root), rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as handle:
-            handle.write("partial")
-        stamp = _time.time() - age_seconds
-        os.utime(path, (stamp, stamp))
-        return path
-
-    def test_trace_cache_sweeps_old_tmp_files(self, tmp_path):
-        import os
-
-        from repro.engine.cache import TraceCache
-        from repro.store import reset_debris_sweeps
-
-        reset_debris_sweeps()
-        old = self._plant(tmp_path, "ab/dead.pkl.tmp", 7200)
-        young = self._plant(tmp_path, "cd/live.pkl.tmp", 10)
-        keep = self._plant(tmp_path, "ab/entry.pkl", 7200)  # not *.tmp
-
-        cache = TraceCache(str(tmp_path))
-        assert cache.stats.debris == 1
-        assert not os.path.exists(old)
-        assert os.path.exists(young)  # may belong to a live writer
-        assert os.path.exists(keep)
-
-    def test_sweep_runs_once_per_process_per_root(self, tmp_path):
-        from repro.engine.cache import TraceCache
-        from repro.store import reset_debris_sweeps
-
-        reset_debris_sweeps()
-        self._plant(tmp_path, "ab/dead.pkl.tmp", 7200)
-        assert TraceCache(str(tmp_path)).stats.debris == 1
-        # Second handle on the same root: already swept, nothing found.
-        self._plant(tmp_path, "ab/dead2.pkl.tmp", 7200)
-        assert TraceCache(str(tmp_path)).stats.debris == 0
-
-    def test_trace_cache_prunes_memo_and_flow_subtrees(self, tmp_path):
-        import os
-
-        from repro.engine.cache import TraceCache
-        from repro.store import reset_debris_sweeps
-
-        reset_debris_sweeps()
-        memo_tmp = self._plant(tmp_path, "memo/ab/dead.pkl.tmp", 7200)
-        flow_tmp = self._plant(tmp_path, "flow/state/x.pkl.tmp", 7200)
-        cache = TraceCache(str(tmp_path))
-        # Those subtrees sweep themselves; the trace janitor must not
-        # double-count them.
-        assert cache.stats.debris == 0
-        assert os.path.exists(memo_tmp) and os.path.exists(flow_tmp)
-
-    def test_memo_store_sweeps_its_own_debris(self, tmp_path):
-        import os
-
-        from repro.store import reset_debris_sweeps
-        from repro.sim.memo import MemoStore
-
-        reset_debris_sweeps()
-        root = tmp_path / "memo"
-        old = self._plant(root, "ab/dead.pkl.tmp", 7200)
-        store = MemoStore(str(root))
-        assert store.stats.debris == 1
-        assert not os.path.exists(old)
-
-    def test_debris_counts_flow_into_metrics(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
-        from repro.sim.memo import MemoStore
-        from repro.store import reset_debris_sweeps
-
-        reset_debris_sweeps()
-        self._plant(tmp_path / "memo", "ab/dead.pkl.tmp", 7200)
-        store = MemoStore(str(tmp_path / "memo"))
-        metrics = MetricsRegistry()
-        store.stats.record_to(metrics, "cache.memo_")
-        assert metrics.counters.get("cache.memo_debris") == 1
-        # Conservation law is unaffected by janitor work.
-        assert store.stats.gets == (store.stats.hits
-                                    + store.stats.misses
-                                    + store.stats.corrupt)

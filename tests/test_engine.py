@@ -15,6 +15,7 @@ import pytest
 
 import repro.api as api
 from repro.benchmarks import suite
+from repro.engine import executor
 from repro.engine.cache import (
     NULL_TRACE_CACHE,
     TraceCache,
@@ -32,7 +33,7 @@ from repro.machine.presets import (
 from repro.obs.recorder import Recorder
 from repro.obs.schema import EVENT_SCHEMA
 from repro.opt.options import CompilerOptions, OptLevel
-from repro.sim import memo
+from repro.sim import memo, replay
 
 #: A small grid that still exercises >1 compile group and >1 machine.
 BENCHES = ["whet", "linpack"]
@@ -269,6 +270,49 @@ class TestGroupScope:
         assert [self._numbers(c) for c in second.cells] == \
             [self._numbers(c) for c in first.cells]
         assert second.report.memo_persisted_hits > 0
+
+    @pytest.mark.skipif(replay.BACKEND != "numpy",
+                        reason="plan entries exist only under NumPy")
+    def test_primed_rerun_adopts_every_plan(self, tmp_path, monkeypatch):
+        """With no plan in memory, a rerun on a primed store takes each
+        trace's plan from its entry: no merge pass counts a pair."""
+        plan = plan_sweep(BENCHES, MACHINES, observe=True)
+        cache = TraceCache(str(tmp_path))
+        first = execute(plan, cache=cache)
+        traces = [suite.cached_run(cell.benchmark, cell.options).trace
+                  for cell in plan.cells]
+        for trace in traces:
+            trace._plan = None
+        counted = []
+        real_counter = replay.Counter
+
+        def counter(iterable=()):
+            if isinstance(iterable, zip):
+                counted.append(iterable)
+            return real_counter(iterable)
+
+        monkeypatch.setattr(replay, "Counter", counter)
+        second = execute(plan, cache=cache)
+        assert not counted
+        assert all(trace._plan.loaded for trace in traces)
+        assert [self._numbers(c) for c in second.cells] == \
+            [self._numbers(c) for c in first.cells]
+        assert second.report.cache_misses == 0
+
+    def test_each_group_trims_the_heap(self, monkeypatch):
+        """Every group hands the freed heap back when it ends, so the
+        next group's peak RSS does not depend on where the allocator
+        placed the last one's arrays."""
+        trims = []
+        monkeypatch.setattr(executor, "_trim_heap",
+                            lambda: trims.append(None))
+        plan = plan_sweep(BENCHES, MACHINES, observe=True)
+        execute(plan)
+        assert len(trims) == len(BENCHES)
+
+    def test_heap_trim_is_skipped_without_malloc_trim(self, monkeypatch):
+        monkeypatch.setattr(executor, "_malloc_trim", lambda: None)
+        executor._trim_heap()
 
 
 class TestPriming:

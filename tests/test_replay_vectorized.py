@@ -293,12 +293,17 @@ class TestGatherEqualsReference:
         # The suite-cached trace may carry a plan whose arrays an
         # earlier test adopted from a payload; build them here.
         trace._plan = None
+        plan = replay_mod.plan_for(trace)
         built = ReplayCore(trace, resolve("base"))._plan_vec()
-        payload = pickle.loads(pickle.dumps(vec.plan_vec_payload(built)))
-        fresh = _whet_trace()
-        fresh._plan = None
-        core = ReplayCore(fresh, resolve("base"))
-        loaded = core._plan_vec(payload)
+        payload = pickle.loads(pickle.dumps(vec.plan_vec_payload(plan)))
+        adopted = replay_mod.build_plan(trace, payload)
+        assert adopted.loaded and not plan.loaded
+        assert adopted.schedule == plan.schedule
+        assert [(b.segments, b.n_instrs, b.n_mem, b.count, b.eligible)
+                for b in adopted.blocks] == [
+            (b.segments, b.n_instrs, b.n_mem, b.count, b.eligible)
+            for b in plan.blocks]
+        loaded = replay_mod.plan_vec_for(adopted, trace, payload)
         assert loaded.loaded and not built.loaded
         for name in vec.PlanVec.__slots__:
             mine, ref = getattr(loaded, name), getattr(built, name)

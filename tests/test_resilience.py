@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import pickle
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -37,7 +38,9 @@ from repro.engine.resilience import (
     RetryPolicy,
     classify_exception,
     failure_manifest,
+    install_sigterm_handler,
     run_group_serial,
+    run_supervised,
 )
 from repro.errors import InterpBudgetError, ResourceLimitError, ReproError
 from repro.obs.recorder import JsonlRecorder
@@ -396,6 +399,38 @@ class TestSupervisedEngine:
         assert all(c.error["kind"] == "budget" for c in res.cells)
         # Deterministic: exactly one attempt, no pointless retries.
         assert all(c.attempts == 1 for c in res.cells)
+
+
+def _sigterm_probe(attempt):
+    """Pool task: crash the first attempt when asked (so the retry runs
+    in a respawned pool), then report the worker's SIGTERM handler."""
+    crash_first, attempt = attempt
+    if crash_first and attempt == 1:
+        os._exit(1)
+    return [signal.getsignal(signal.SIGTERM) == signal.SIG_DFL], False
+
+
+class TestPoolSignals:
+    @pytest.mark.parametrize("crash_first", [False, True],
+                             ids=["first-pool", "respawned-pool"])
+    def test_workers_reset_the_sigterm_handler(self, crash_first):
+        """Workers forked after install_sigterm_handler() must not keep
+        its handler: a killed pool would print KeyboardInterrupt
+        tracebacks from its idle workers."""
+        previous = signal.getsignal(signal.SIGTERM)
+        try:
+            assert install_sigterm_handler()
+            [outcome] = run_supervised(
+                [("probe", (crash_first,), {0})], workers=2,
+                task=_sigterm_probe,
+                make_payload=lambda base, attempt: base + (attempt,),
+                serial_runner=None, policy=FAST,
+                validate=lambda payload, expected: None,
+            )
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert outcome.attempts == 1 + crash_first
+        assert outcome.results == [True]
 
 
 class TestAcceptance:

@@ -41,7 +41,13 @@ from repro.sim.memo import (
     replay_with_memo,
     seal,
 )
-from repro.sim.replay import BACKEND, ReplayCore, _id_array, plan_for
+from repro.sim.replay import (
+    BACKEND,
+    ReplayCore,
+    _id_array,
+    build_plan,
+    plan_for,
+)
 from repro.sim.timing import simulate
 from repro.sim.trace import Trace
 from repro.store import DEBRIS_MAX_AGE, reset_debris_sweeps
@@ -645,28 +651,74 @@ def test_unverifiable_records_cost_a_scalar_re_resolve(primed_memo):
     assert (fresh.hits, fresh.stores) == (2, 0)
 
 
+def _foreign_schedule(payload, n):
+    """The schedule of another benchmark's plan, its block ids folded
+    into range (only the expansion check can tell)."""
+    bench = suite.get("linpack")
+    other = suite.run_benchmark(bench, suite.default_options(bench)).trace
+    payload["schedule"] = _id_array(
+        [bid % payload["n_blocks"] for bid in build_plan(other).schedule])
+
+
+def _shifted_segment(payload, n):
+    """The first segment of the first scheduled block starts one
+    instruction later."""
+    first = int(payload["block_nseg"][:payload["schedule"][0]].sum())
+    payload["segments"][first, 0] += 1
+
+
+def _block_out_of_range(payload, n):
+    payload["schedule"][-1] = payload["n_blocks"]
+
+
+def _other_knobs(payload, n):
+    (phase, *rest), max_passes = payload["knobs"]
+    payload["knobs"] = (((phase[0] + 1, phase[1]), *rest), max_passes)
+
+
+def _v1_entry(payload, n):
+    """The arrays alone, as the format before the plan was stored."""
+    for name in ("knobs", "schedule", "block_nseg", "segments"):
+        del payload[name]
+    payload["format"] = "replay-plan-v1"
+
+
+def _shorter_array(payload, n):
+    payload["arrays"]["rp_src"] = payload["arrays"]["rp_src"][:-1]
+
+
+def _tampered_alias_ids(payload, n):
+    payload["arrays"]["alias_ids"][0] += 1
+
+
+PLAN_DAMAGE = {
+    "truncated": lambda store, key, n: truncate_entry(store, key),
+    "tampered-alias-ids": _rotted(_tampered_alias_ids),
+    "wrong-length": _resealed(_shorter_array),
+    "foreign-schedule": _resealed(_foreign_schedule),
+    "shifted-segment": _resealed(_shifted_segment),
+    "block-out-of-range": _resealed(_block_out_of_range),
+    "other-knobs": _resealed(_other_knobs),
+    "v1-format": _resealed(_v1_entry),
+}
+
+
 @pytest.mark.skipif(BACKEND != "numpy",
                     reason="plan entries exist only under NumPy")
-@pytest.mark.parametrize("damage", ["truncated", "tampered-alias-ids",
-                                    "wrong-length"])
+@pytest.mark.parametrize("damage", sorted(PLAN_DAMAGE))
 def test_bad_plan_entry_is_dropped_and_rewritten(primed_memo, damage):
     trace, config, ref, root, key = primed_memo
-    store = MemoStore(root)
-    pkey = plan_key(trace)
-
-    def alias(payload, n):
-        payload["arrays"]["alias_ids"][0] += 1
-
-    def length(payload, n):
-        payload["arrays"]["rp_src"] = payload["arrays"]["rp_src"][:-1]
-
-    {"truncated": lambda: truncate_entry(store, pkey),
-     "tampered-alias-ids": lambda: _rotted(alias)(store, pkey, 0),
-     "wrong-length": lambda: _resealed(length)(store, pkey, 0),
-     }[damage]()
+    PLAN_DAMAGE[damage](MemoStore(root), plan_key(trace), 0)
     out, stats = _replay(root, trace, config)
     assert (out.minor_cycles, out.stalls) == (ref.minor_cycles, ref.stalls)
     assert (stats.hits, stats.corrupt, stats.stores) == (1, 1, 1)
+    # A readable entry whose plan fits keeps its plan; only its arrays
+    # are rebuilt.  Every other damage costs the merge passes.
+    assert trace._plan.loaded == (damage == "wrong-length")
+    assert not trace._plan.vec.loaded
     assert out.stats.vectorized_blocks == out.stats.blocks
-    _, fresh = _replay(root, trace, config)
+    again, fresh = _replay(root, trace, config)
+    assert (again.minor_cycles, again.stalls) == (ref.minor_cycles,
+                                                  ref.stalls)
     assert (fresh.hits, fresh.corrupt, fresh.stores) == (2, 0, 0)
+    assert trace._plan.loaded and trace._plan.vec.loaded
