@@ -19,12 +19,14 @@ from repro.machine import (
 from repro.opt.options import AliasLevel, CompilerOptions
 from repro.sim.timing import simulate
 
+from conftest import run_of
+
 
 def _save(results_dir, name: str, text: str) -> None:
     (results_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
 
 
-def test_temporary_register_pressure(benchmark, results_dir):
+def test_temporary_register_pressure(benchmark, results_dir, trace_cache):
     """Paper, Section 4.4: "we have only forty temporary registers
     available, which limits the amount of parallelism we can exploit"."""
 
@@ -36,7 +38,7 @@ def test_temporary_register_pressure(benchmark, results_dir):
                 unroll=10, careful=True,
                 regfile=RegisterFileSpec(n_temp=n_temp, n_home=26),
             )
-            res = suite.run_benchmark("linpack", opts)
+            res = run_of(trace_cache, "linpack", opts)
             ilp = simulate(res.trace, ideal_superscalar(64)).parallelism
             values[n_temp] = ilp
             rows.append([n_temp, ilp])
@@ -47,7 +49,7 @@ def test_temporary_register_pressure(benchmark, results_dir):
     assert values[40] > values[6]
 
 
-def test_class_conflicts(benchmark, results_dir):
+def test_class_conflicts(benchmark, results_dir, trace_cache):
     """Section 2.3.2: not duplicating the memory unit creates class
     conflicts that shrink superscalar gains."""
 
@@ -57,13 +59,13 @@ def test_class_conflicts(benchmark, results_dir):
         for n_mem in (1, 2, 4):
             cfg = superscalar_with_class_conflicts(4, n_mem_units=n_mem)
             vals = [
-                simulate(suite.run_benchmark(b).trace, cfg).parallelism
+                simulate(run_of(trace_cache, b).trace, cfg).parallelism
                 for b in suite.all_benchmarks()
             ]
             values[n_mem] = harmonic_mean(vals)
             rows.append([n_mem, values[n_mem]])
         ideal = harmonic_mean([
-            simulate(suite.run_benchmark(b).trace,
+            simulate(run_of(trace_cache, b).trace,
                      ideal_superscalar(4)).parallelism
             for b in suite.all_benchmarks()
         ])
@@ -78,7 +80,7 @@ def test_class_conflicts(benchmark, results_dir):
     assert values[1] < values[4] <= values["ideal"] + 1e-9
 
 
-def test_alias_precision(benchmark, results_dir):
+def test_alias_precision(benchmark, results_dir, trace_cache):
     """Scheduler alias analysis: conservative vs object vs affine."""
 
     def run():
@@ -86,7 +88,7 @@ def test_alias_precision(benchmark, results_dir):
         values = {}
         for level in AliasLevel:
             opts = CompilerOptions(unroll=4, careful=True, alias=level)
-            res = suite.run_benchmark("linpack", opts)
+            res = run_of(trace_cache, "linpack", opts)
             ilp = simulate(res.trace, ideal_superscalar(64)).parallelism
             values[level] = ilp
             rows.append([level.name.lower(), ilp])
@@ -97,7 +99,7 @@ def test_alias_precision(benchmark, results_dir):
     assert values[AliasLevel.AFFINE] > values[AliasLevel.CONSERVATIVE]
 
 
-def test_multititan_latency_realism(benchmark, results_dir):
+def test_multititan_latency_realism(benchmark, results_dir, trace_cache):
     """Fig 4-4 generalized: the slightly superpipelined MultiTitan gains
     more from parallel issue than the CRAY-1, but less than the unit-
     latency fiction suggests."""
@@ -114,8 +116,9 @@ def test_multititan_latency_realism(benchmark, results_dir):
                 cfg = factory(width)
                 vals = []
                 for b in suite.all_benchmarks():
-                    run_ = suite.run_benchmark(
-                        b, suite.default_options(b, schedule_for=cfg)
+                    run_ = run_of(
+                        trace_cache, b,
+                        suite.default_options(b, schedule_for=cfg),
                     )
                     vals.append(simulate(run_.trace, cfg).parallelism)
                 mean = harmonic_mean(vals)
@@ -135,7 +138,7 @@ def test_multititan_latency_realism(benchmark, results_dir):
     assert values[("real", 4)] > 1.1
 
 
-def test_scheduler_heuristic(benchmark, results_dir):
+def test_scheduler_heuristic(benchmark, results_dir, trace_cache):
     """List-scheduling priority function: critical path vs source order,
     on the latency-heavy CRAY-1 where priorities matter most."""
 
@@ -151,7 +154,7 @@ def test_scheduler_heuristic(benchmark, results_dir):
                 opts = suite.default_options(
                     b, schedule_for=cfg, sched_heuristic=heuristic
                 )
-                res = suite.run_benchmark(b, opts)
+                res = run_of(trace_cache, b, opts)
                 vals.append(simulate(res.trace, cfg).parallelism)
             values[heuristic] = harmonic_mean(vals)
             rows.append([heuristic, values[heuristic]])
@@ -164,7 +167,7 @@ def test_scheduler_heuristic(benchmark, results_dir):
     assert values["critical-path"] >= values["source-order"] - 1e-9
 
 
-def test_block_length_structure(benchmark, results_dir):
+def test_block_length_structure(benchmark, results_dir, trace_cache):
     """Why the ceiling is ~2: dynamic basic blocks are short."""
 
     def run():
@@ -174,7 +177,7 @@ def test_block_length_structure(benchmark, results_dir):
         rows = []
         data = {}
         for b in suite.all_benchmarks():
-            res = suite.run_benchmark(b)
+            res = run_of(trace_cache, b)
             stats = block_stats(res.trace)
             ilp = simulate(res.trace, ideal_superscalar(64)).parallelism
             data[b.name] = (stats.mean_block_length, ilp)

@@ -5,8 +5,9 @@ from repro.analysis import experiments as E
 from conftest import run_exhibit
 
 
-def test_fig4_4(benchmark, results_dir):
-    ex = run_exhibit(benchmark, results_dir, E.fig4_4)
+def test_fig4_4(benchmark, results_dir, trace_cache):
+    ex = run_exhibit(benchmark, results_dir, E.fig4_4,
+                     cache=trace_cache)
     unit = dict(ex.data["unit"])
     real = dict(ex.data["real"])
     # unit latencies mispredict large speedups; real latencies give

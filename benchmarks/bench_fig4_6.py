@@ -5,8 +5,9 @@ from repro.analysis import experiments as E
 from conftest import run_exhibit
 
 
-def test_fig4_6(benchmark, results_dir):
-    ex = run_exhibit(benchmark, results_dir, E.fig4_6)
+def test_fig4_6(benchmark, results_dir, trace_cache):
+    ex = run_exhibit(benchmark, results_dir, E.fig4_6,
+                     cache=trace_cache)
     for bench in ("linpack", "livermore"):
         careful = dict(ex.data[f"{bench}.careful"])
         naive = dict(ex.data[f"{bench}.naive"])

@@ -11,12 +11,14 @@ from repro.sim.cache import CacheConfig, simulate_with_icache
 from repro.sim.limits import dataflow_limit, simulate_out_of_order
 from repro.sim.timing import simulate
 
+from conftest import run_of
+
 
 def _save(results_dir, name: str, text: str) -> None:
     (results_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
 
 
-def test_branch_prediction_assumption(benchmark, results_dir):
+def test_branch_prediction_assumption(benchmark, results_dir, trace_cache):
     """Perfect prediction (the paper's model) vs stalling on branches
     (Riseman & Foster's inhibition)."""
 
@@ -25,7 +27,7 @@ def test_branch_prediction_assumption(benchmark, results_dir):
         rows = []
         perfect, stalled = [], []
         for bench in suite.all_benchmarks():
-            trace = suite.run_benchmark(bench).trace
+            trace = run_of(trace_cache, bench).trace
             p = simulate(trace, cfg).parallelism
             s = simulate(trace, cfg.with_branch_policy("stall")).parallelism
             perfect.append(p)
@@ -43,7 +45,7 @@ def test_branch_prediction_assumption(benchmark, results_dir):
     assert s < p
 
 
-def test_out_of_order_window(benchmark, results_dir):
+def test_out_of_order_window(benchmark, results_dir, trace_cache):
     """In-order + compile-time scheduling vs run-time reordering with
     renaming and perfect memory disambiguation (cf. Wall 1991)."""
 
@@ -52,7 +54,7 @@ def test_out_of_order_window(benchmark, results_dir):
         rows = []
         values = {}
         traces = {
-            b.name: suite.run_benchmark(b).trace
+            b.name: run_of(trace_cache, b).trace
             for b in suite.all_benchmarks()
         }
         inorder = harmonic_mean(
@@ -83,7 +85,7 @@ def test_out_of_order_window(benchmark, results_dir):
     assert values["oracle"] >= values[64]
 
 
-def test_icache_vs_unrolling(benchmark, results_dir):
+def test_icache_vs_unrolling(benchmark, results_dir, trace_cache):
     """Section 4.4's caveat: limited instruction caches make large
     unrolling degrees decline."""
 
@@ -97,7 +99,7 @@ def test_icache_vs_unrolling(benchmark, results_dir):
                 unroll=factor, careful=True,
                 regfile=RegisterFileSpec(n_temp=40, n_home=26),
             )
-            result = suite.run_benchmark(suite.get("linpack"), opts)
+            result = run_of(trace_cache, "linpack", opts)
             ideal = simulate(result.trace, cfg).parallelism
             cached = simulate_with_icache(result.trace, cfg, cache)
             real = result.instructions / cached.timing.base_cycles

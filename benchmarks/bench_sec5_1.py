@@ -7,8 +7,9 @@ from repro.analysis import experiments as E
 from conftest import run_exhibit
 
 
-def test_sec5_1(benchmark, results_dir):
-    ex = run_exhibit(benchmark, results_dir, E.sec5_1)
+def test_sec5_1(benchmark, results_dir, trace_cache):
+    ex = run_exhibit(benchmark, results_dir, E.sec5_1,
+                     cache=trace_cache)
     without, with_misses = ex.data["example"]
     assert without == pytest.approx(2.0)
     assert with_misses == pytest.approx(4 / 3)

@@ -64,11 +64,9 @@ def cell_payload(cell) -> dict:
 
 
 def run_grid(workers, faults=None, policy=None):
-    from repro.benchmarks import suite
     from repro.engine.executor import execute
     from repro.engine.plan import plan_sweep
 
-    suite.clear_cache()  # keep every run's compile work independent
     plan = plan_sweep(BENCHES, MACHINES, observe=True)
     return execute(plan, workers=workers, policy=policy, faults=faults)
 

@@ -1097,7 +1097,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_exhibit(args) -> int:
-    from .analysis.experiments import ALL_EXHIBITS, prime_all_exhibits
+    from .analysis.experiments import ALL_EXHIBITS, run_all
 
     idents = args.idents
     if idents == ["list"]:
@@ -1111,15 +1111,9 @@ def _cmd_exhibit(args) -> int:
         print(f"unknown exhibits: {', '.join(unknown)}", file=sys.stderr)
         print(f"known: {', '.join(ALL_EXHIBITS)}", file=sys.stderr)
         return 2
-    # Priming compiles every exhibit's units up front, which only pays
-    # off when there is a worker pool to fan them across (the warmed
-    # disk cache then serves later runs for free).
-    if args.workers > 1:
-        report = prime_all_exhibits(workers=args.workers,
-                                    cache=_engine_cache(args))
-        print(report.summary(), file=sys.stderr)
-    for ident in idents:
-        print(ALL_EXHIBITS[ident]())
+    for exhibit in run_all(idents, workers=args.workers,
+                           cache=_engine_cache(args)):
+        print(exhibit)
         print()
     return 0
 

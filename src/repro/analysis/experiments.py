@@ -10,14 +10,28 @@ The drivers compile benchmarks *scheduled for the machine being
 simulated*, like the paper's system ("the language system then optimizes
 the code ... and schedules the instructions for the pipeline, all
 according to this specification").
+
+Each measured exhibit declares its grid of (benchmark, options,
+machine) cells and runs it through the execution engine
+(:func:`repro.engine.executor.execute`), so ``workers`` fans its compile
+groups across the supervised pool and ``cache`` (a
+:class:`~repro.engine.cache.TraceCache`, or ``None`` for none) serves
+compiles, replay memos and plans from disk.  The exhibits that need the
+trace itself (``table2-1``, ``sec5-1``) get it through
+:func:`repro.engine.executor.acquire_run` and the same cache.
 """
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field
 
 from ..benchmarks import suite
+from ..engine.cache import NULL_TRACE_CACHE, TraceCache
+from ..engine.executor import CellResult, acquire_run, execute
+from ..engine.plan import Cell, Plan, plan_sweep
+from ..errors import ReproError
 from ..obs.recorder import Recorder, active_recorder
 from ..isa import build
 from ..isa.opcodes import Opcode
@@ -41,7 +55,7 @@ from ..machine.presets import (
     underpipelined_half_issue,
     underpipelined_slow_cycle,
 )
-from ..opt.options import CompilerOptions
+from ..opt.options import CompilerOptions, OptLevel
 from ..sim.cache import (
     TABLE_5_1,
     CacheConfig,
@@ -76,11 +90,46 @@ class Exhibit:
 _DEGREES = tuple(range(1, 9))
 
 
-def _suite_runs(options: CompilerOptions | None = None):
-    return {
-        b.name: suite.run_benchmark(b, options or suite.default_options(b))
-        for b in suite.all_benchmarks()
-    }
+def _measure(plan: Plan, workers: int,
+             cache: TraceCache | None) -> list[CellResult]:
+    """Run ``plan`` through the engine; its results in plan order.
+
+    Raises naming the first cell whose group failed or whose benchmark
+    returned the wrong checksum, so a broken measurement can never
+    render as a number.
+    """
+    result = execute(plan, workers=workers, cache=cache)
+    for cell, got in zip(plan.cells, result.cells):
+        if got.status == "failed":
+            error = got.error or {}
+            raise ReproError(
+                f"exhibit cell {cell.ident} failed: "
+                f"{error.get('kind', 'error')}: {error.get('message', '')}"
+            )
+        if not got.checksum_ok:
+            raise ReproError(f"exhibit cell {cell.ident}: wrong checksum")
+    return result.cells
+
+
+def _columns(cells: list[CellResult], n_machines: int) -> list[list[float]]:
+    """Per-machine parallelism over the benchmarks of a
+    :func:`plan_sweep` (benchmark-major), in benchmark order."""
+    return [[c.parallelism for c in cells[m::n_machines]]
+            for m in range(n_machines)]
+
+
+def _suite_runs(cache: TraceCache | None) -> dict:
+    """Each benchmark's default-options run, through the trace cache."""
+    runs = {}
+    for bench in suite.all_benchmarks():
+        run, _, checksum_ok = acquire_run(
+            bench.name, suite.default_options(bench),
+            cache if cache is not None else NULL_TRACE_CACHE,
+        )
+        if not checksum_ok:
+            raise ReproError(f"exhibit run {bench.name}: wrong checksum")
+        runs[bench.name] = run
+    return runs
 
 
 # --------------------------------------------------------------------- fig 1-1
@@ -152,7 +201,7 @@ def fig2_diagrams() -> Exhibit:
 
 
 # ------------------------------------------------------------------- table 2-1
-def table2_1() -> Exhibit:
+def table2_1(*, cache: TraceCache | None = None) -> Exhibit:
     """Table 2-1: average degree of superpipelining."""
     rows = []
     for name, lats in (
@@ -164,7 +213,7 @@ def table2_1() -> Exhibit:
              average_degree_of_superpipelining(lats, PAPER_FREQUENCIES)]
         )
     # the same metric under our measured dynamic instruction mix
-    runs = _suite_runs()
+    runs = _suite_runs(cache)
     counts: dict = {}
     for run in runs.values():
         for klass, count in run.trace.class_counts().items():
@@ -207,27 +256,18 @@ def table2_1() -> Exhibit:
 
 
 # --------------------------------------------------------------------- fig 4-1
-def fig4_1(degrees: tuple[int, ...] = _DEGREES) -> Exhibit:
+def fig4_1(degrees: tuple[int, ...] = _DEGREES, *, workers: int = 1,
+           cache: TraceCache | None = None) -> Exhibit:
     """Figure 4-1: supersymmetry — superscalar vs superpipelined."""
+    machines = ([ideal_superscalar(d) for d in degrees]
+                + [superpipelined(d) for d in degrees])
+    cells = _measure(plan_sweep(suite.all_benchmarks(), machines,
+                                schedule_for_target=True), workers, cache)
+    means = [harmonic_mean(col) for col in _columns(cells, len(machines))]
     ss_points = []
     sp_points = []
     rows = []
-    for degree in degrees:
-        ss_cfg = ideal_superscalar(degree)
-        sp_cfg = superpipelined(degree)
-        ss_vals = []
-        sp_vals = []
-        for bench in suite.all_benchmarks():
-            run_ss = suite.run_benchmark(
-                bench, suite.default_options(bench, schedule_for=ss_cfg)
-            )
-            ss_vals.append(simulate(run_ss.trace, ss_cfg).parallelism)
-            run_sp = suite.run_benchmark(
-                bench, suite.default_options(bench, schedule_for=sp_cfg)
-            )
-            sp_vals.append(simulate(run_sp.trace, sp_cfg).parallelism)
-        ss = harmonic_mean(ss_vals)
-        sp = harmonic_mean(sp_vals)
+    for degree, ss, sp in zip(degrees, means, means[len(degrees):]):
         ss_points.append((degree, ss))
         sp_points.append((degree, sp))
         rows.append([degree, ss, sp, (ss - sp) / ss * 100.0])
@@ -318,24 +358,19 @@ def unit_latency_cray(width: int) -> MachineConfig:
 
 
 # --------------------------------------------------------------------- fig 4-4
-def fig4_4(widths: tuple[int, ...] = (1, 2, 3, 4, 6, 8)) -> Exhibit:
+def fig4_4(widths: tuple[int, ...] = (1, 2, 3, 4, 6, 8), *,
+           workers: int = 1, cache: TraceCache | None = None) -> Exhibit:
     """Figure 4-4: CRAY-1 multiple issue with unit vs real latencies."""
-    series: dict[str, list[tuple[float, float]]] = {"unit": [], "real": []}
+    factories = (("unit", unit_latency_cray), ("real", cray1_config))
+    machines = [factory(w) for _, factory in factories for w in widths]
+    cells = _measure(plan_sweep(suite.all_benchmarks(), machines,
+                                schedule_for_target=True), workers, cache)
+    means = [harmonic_mean(col) for col in _columns(cells, len(machines))]
+    series: dict[str, list[tuple[float, float]]] = {}
+    for i, (label, _) in enumerate(factories):
+        row = means[i * len(widths):(i + 1) * len(widths)]
+        series[label] = [(w, mean / row[0]) for w, mean in zip(widths, row)]
     rows = []
-    baselines: dict[str, float] = {}
-    for label, factory in (("unit", unit_latency_cray), ("real", cray1_config)):
-        for width in widths:
-            cfg = factory(width)
-            vals = []
-            for bench in suite.all_benchmarks():
-                run = suite.run_benchmark(
-                    bench, suite.default_options(bench, schedule_for=cfg)
-                )
-                vals.append(simulate(run.trace, cfg).parallelism)
-            mean = harmonic_mean(vals)
-            if width == widths[0]:
-                baselines[label] = mean
-            series[label].append((width, mean / baselines[label]))
     for i, width in enumerate(widths):
         rows.append(
             [width,
@@ -361,16 +396,18 @@ def fig4_4(widths: tuple[int, ...] = (1, 2, 3, 4, 6, 8)) -> Exhibit:
 
 
 # --------------------------------------------------------------------- fig 4-5
-def fig4_5(widths: tuple[int, ...] = _DEGREES) -> Exhibit:
+def fig4_5(widths: tuple[int, ...] = _DEGREES, *, workers: int = 1,
+           cache: TraceCache | None = None) -> Exhibit:
     """Figure 4-5: instruction-level parallelism by benchmark."""
+    benches = suite.all_benchmarks()
+    cells = iter(_measure(
+        plan_sweep(benches, [ideal_superscalar(w) for w in widths]),
+        workers, cache,
+    ))
     series: dict[str, list[tuple[float, float]]] = {}
     rows = []
-    for bench in suite.all_benchmarks():
-        run = suite.run_benchmark(bench)
-        points = []
-        for width in widths:
-            cfg = ideal_superscalar(width)
-            points.append((width, simulate(run.trace, cfg).parallelism))
+    for bench in benches:
+        points = [(width, next(cells).parallelism) for width in widths]
         series[bench.name] = points
         rows.append([bench.name] + [p[1] for p in points])
     table = format_table(
@@ -395,27 +432,29 @@ def fig4_5(widths: tuple[int, ...] = _DEGREES) -> Exhibit:
 def fig4_6(
     factors: tuple[int, ...] = (1, 2, 4, 10),
     n_temp: int = 40,
+    *,
+    workers: int = 1,
+    cache: TraceCache | None = None,
 ) -> Exhibit:
     """Figure 4-6: parallelism vs loop unrolling (naive vs careful)."""
     regfile = RegisterFileSpec(n_temp=n_temp, n_home=26)
     measure_cfg = ideal_superscalar(64)
+    modes = [(name, careful) for name in ("linpack", "livermore")
+             for careful in (False, True)]
+    cells = iter(_measure(Plan(tuple(
+        Cell(name,
+             CompilerOptions(unroll=factor, careful=careful, regfile=regfile),
+             measure_cfg,
+             options_label=f"{'careful' if careful else 'naive'}-u{factor}")
+        for name, careful in modes for factor in factors
+    )), workers, cache))
     series: dict[str, list[tuple[float, float]]] = {}
     rows = []
-    for bench_name in ("linpack", "livermore"):
-        bench = suite.get(bench_name)
-        for careful in (False, True):
-            label = f"{bench_name}.{'careful' if careful else 'naive'}"
-            points = []
-            for factor in factors:
-                opts = CompilerOptions(
-                    unroll=factor, careful=careful, regfile=regfile,
-                )
-                run = suite.run_benchmark(bench, opts)
-                points.append(
-                    (factor, simulate(run.trace, measure_cfg).parallelism)
-                )
-            series[label] = points
-            rows.append([label] + [p[1] for p in points])
+    for name, careful in modes:
+        label = f"{name}.{'careful' if careful else 'naive'}"
+        points = [(factor, next(cells).parallelism) for factor in factors]
+        series[label] = points
+        rows.append([label] + [p[1] for p in points])
     table = format_table(
         ["benchmark.mode"] + [f"u={f}" for f in factors], rows
     )
@@ -460,23 +499,22 @@ def fig4_7() -> Exhibit:
 
 
 # --------------------------------------------------------------------- fig 4-8
-def fig4_8() -> Exhibit:
+def fig4_8(*, workers: int = 1,
+           cache: TraceCache | None = None) -> Exhibit:
     """Figure 4-8: effect of optimization level on parallelism."""
-    from ..opt.options import OptLevel
-
     regfile = RegisterFileSpec(n_temp=16, n_home=26)
     measure_cfg = ideal_superscalar(64)
     levels = list(OptLevel)
+    benches = suite.all_benchmarks()
+    cells = iter(_measure(Plan(tuple(
+        Cell(bench.name, CompilerOptions(opt_level=level, regfile=regfile),
+             measure_cfg, options_label=level.name.lower())
+        for bench in benches for level in levels
+    )), workers, cache))
     series: dict[str, list[tuple[float, float]]] = {}
     rows = []
-    for bench in suite.all_benchmarks():
-        points = []
-        for level in levels:
-            opts = CompilerOptions(opt_level=level, regfile=regfile)
-            run = suite.run_benchmark(bench, opts)
-            points.append(
-                (int(level), simulate(run.trace, measure_cfg).parallelism)
-            )
+    for bench in benches:
+        points = [(int(level), next(cells).parallelism) for level in levels]
         series[bench.name] = points
         rows.append([bench.name] + [p[1] for p in points])
     table = format_table(
@@ -521,23 +559,22 @@ def table5_1() -> Exhibit:
 
 
 # ------------------------------------------------------------------ section 5.1
-def sec5_1() -> Exhibit:
+def sec5_1(*, cache: TraceCache | None = None) -> Exhibit:
     """Section 5.1 example + measured miss dilution on the suite."""
     with_misses, without = parallel_issue_speedup_with_misses()
     rows = [["worked example (2.0cpi, triple issue)", without, with_misses]]
 
     # Measured: ideal superscalar-3 speedup with and without a small cache.
-    cache = CacheConfig(size_words=256, line_words=4, miss_penalty=10)
+    dcache = CacheConfig(size_words=256, line_words=4, miss_penalty=10)
     vals_nc, vals_c = [], []
-    for bench in suite.all_benchmarks():
-        run = suite.run_benchmark(bench)
+    for run in _suite_runs(cache).values():
         base_nc = simulate(run.trace, base_machine()).base_cycles
         wide_nc = simulate(run.trace, ideal_superscalar(3)).base_cycles
         base_c = simulate_with_cache(
-            run.trace, base_machine(), cache
+            run.trace, base_machine(), dcache
         ).timing.base_cycles
         wide_c = simulate_with_cache(
-            run.trace, ideal_superscalar(3), cache
+            run.trace, ideal_superscalar(3), dcache
         ).timing.base_cycles
         vals_nc.append(base_nc / wide_nc)
         vals_c.append(base_c / wide_c)
@@ -563,67 +600,6 @@ def multititan_config() -> MachineConfig:
     return multititan()
 
 
-def _prime_jobs() -> list[tuple]:
-    """Every compile unit the exhibit drivers will request.
-
-    Enumerating these lets :func:`run_all` push the whole compile load
-    through the execution engine (parallel workers + on-disk trace
-    cache) before the drivers run; the drivers then hit the in-process
-    memo and only pay for timing simulation.
-    """
-    from ..opt.options import OptLevel
-
-    jobs: list[tuple] = []
-    benches = suite.all_benchmarks()
-    for bench in benches:
-        jobs.append((bench.name, suite.default_options(bench)))
-    # fig4-1: scheduled for each superscalar/superpipelined degree
-    for degree in _DEGREES:
-        for cfg in (ideal_superscalar(degree), superpipelined(degree)):
-            jobs += [(b.name, suite.default_options(b, schedule_for=cfg))
-                     for b in benches]
-    # fig4-4: CRAY-1 issue widths, unit and real latencies
-    for factory in (unit_latency_cray, cray1_config):
-        for width in (1, 2, 3, 4, 6, 8):
-            cfg = factory(width)
-            jobs += [(b.name, suite.default_options(b, schedule_for=cfg))
-                     for b in benches]
-    # fig4-6: unrolling study
-    regfile40 = RegisterFileSpec(n_temp=40, n_home=26)
-    for name in ("linpack", "livermore"):
-        for careful in (False, True):
-            for factor in (1, 2, 4, 10):
-                jobs.append((name, CompilerOptions(
-                    unroll=factor, careful=careful, regfile=regfile40,
-                )))
-    # fig4-8: optimization levels with the 16-temporary register file
-    regfile16 = RegisterFileSpec(n_temp=16, n_home=26)
-    for bench in benches:
-        for level in OptLevel:
-            jobs.append((bench.name, CompilerOptions(
-                opt_level=level, regfile=regfile16,
-            )))
-    return jobs
-
-
-def prime_all_exhibits(
-    workers: int = 1, cache=None, recorder: Recorder | None = None,
-):
-    """Precompute every exhibit compile unit through the engine.
-
-    Returns the :class:`~repro.engine.executor.EngineReport`; the runs
-    land in the suite memo (and the on-disk cache, when given), so a
-    following :func:`run_all` recompiles nothing.
-    """
-    from ..engine.executor import prime_runs
-
-    report = prime_runs(_prime_jobs(), workers=workers, cache=cache)
-    rec = active_recorder(recorder)
-    if rec.enabled:
-        rec.emit("engine", **report.as_dict())
-    return report
-
-
 ALL_EXHIBITS = {
     "fig1-1": fig1_1,
     "fig2-1..8": fig2_diagrams,
@@ -642,26 +618,28 @@ ALL_EXHIBITS = {
 
 
 def run_all(
-    recorder: Recorder | None = None,
+    idents: list[str] | None = None,
+    *,
     workers: int = 1,
-    cache=None,
+    cache: TraceCache | None = None,
+    recorder: Recorder | None = None,
 ) -> list[Exhibit]:
-    """Run every exhibit in paper order.
+    """Run the exhibits named by ``idents`` (default: all, in paper order).
 
-    ``recorder`` (optional) receives one ``exhibit`` event per exhibit
-    with its ident, title and wall time, so regenerating the paper's
-    tables and figures can produce a machine-readable run report.
-    With ``workers>1`` (or a trace ``cache``) every compile unit the
-    exhibits need is first pushed through the execution engine, so the
-    drivers themselves only pay for timing simulation.
+    Every measured exhibit runs its cells through the engine with
+    ``workers`` and ``cache`` (``None``: no disk cache).  ``recorder``
+    (optional) receives one ``exhibit`` event per exhibit with its
+    ident, title and wall time, so regenerating the paper's tables and
+    figures can produce a machine-readable run report.
     """
     rec = active_recorder(recorder)
-    if workers > 1 or (cache is not None and cache.enabled):
-        prime_all_exhibits(workers=workers, cache=cache, recorder=rec)
+    engine = {"workers": workers, "cache": cache}
     exhibits: list[Exhibit] = []
-    for factory in ALL_EXHIBITS.values():
+    for ident in idents if idents is not None else ALL_EXHIBITS:
+        factory = ALL_EXHIBITS[ident]
+        params = inspect.signature(factory).parameters
         start = time.perf_counter()
-        exhibit = factory()
+        exhibit = factory(**{k: v for k, v in engine.items() if k in params})
         rec.emit(
             "exhibit",
             ident=exhibit.ident,

@@ -158,8 +158,9 @@ def measure(benchmark: Benchmark | str, machine: MachineConfig | str,
             scheduler: str | None = None) -> TimingResult:
     """Compile, run, and time one suite benchmark on one machine.
 
-    Compilation and functional execution are memoized per
-    (benchmark, options), so measuring many machines is cheap.
+    Each call compiles and runs the benchmark afresh; to measure many
+    machines on one compile unit, :func:`sweep` a :func:`plan` (it
+    compiles each unit once and can use the trace cache).
     ``scheduler`` selects the scheduler backend by name (see
     :func:`schedulers`); with no explicit ``options`` it composes with
     the benchmark's default overrides.

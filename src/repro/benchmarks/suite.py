@@ -9,9 +9,10 @@ checksum, and the module provides a pure-Python :func:`reference`
 implementation computing the same value.  The integration tests compare
 the two at every optimization level, which exercises the whole compiler.
 
-Compilation and functional simulation are memoized per
-``(benchmark, options)`` because the experiment drivers sweep many machine
-configurations over the same trace.
+Nothing here is memoized: :func:`run_benchmark` compiles and executes
+on every call.  Callers that measure many machines or repeat a compile
+unit go through :func:`repro.api.sweep` (the execution engine), which
+compiles each unit once per run and consults the on-disk trace cache.
 """
 
 from __future__ import annotations
@@ -79,78 +80,29 @@ def _ensure_loaded() -> None:
                 raise
 
 
-# ------------------------------------------------------------------- caching
-def _options_key(options: CompilerOptions) -> tuple:
-    """Memo key for one compile unit.
-
-    Delegates to :meth:`CompilerOptions.fingerprint` — the same canonical
-    key the engine's on-disk trace cache hashes — so the in-process memo
-    and the content-addressed cache can never disagree about which option
-    fields (unroll, careful/alias, scheduling heuristic, the full target
-    machine description) distinguish two compilations.
-    """
-    return options.fingerprint()
-
-
-_RUN_CACHE: dict[tuple, RunResult] = {}
-
-
 def run_benchmark(
     benchmark: Benchmark | str,
     options: CompilerOptions | None = None,
     max_instructions: int | None = None,
     tracer: Tracer = NULL_TRACER,
 ) -> RunResult:
-    """Compile and functionally execute a benchmark (memoized).
+    """Compile and functionally execute a benchmark (not memoized).
 
     ``max_instructions`` tightens the interpreter's runaway guard for
-    this call (the engine's per-cell instruction budget); a run that
-    completes within a budget is identical to an unbounded one, so the
-    memo key is unaffected.  ``tracer`` receives the compile driver's
-    ``pass.*`` spans; a memo hit compiles nothing and records none.
+    this call (the engine's per-cell instruction budget).  ``tracer``
+    receives the compile driver's ``pass.*`` spans.  Every call
+    compiles afresh; measure many machines on one compile unit with
+    :func:`repro.api.sweep`.
     """
     if isinstance(benchmark, str):
         benchmark = get(benchmark)
     opts = options or default_options(benchmark)
-    key = (benchmark.name, _options_key(opts))
-    cached = _RUN_CACHE.get(key)
-    if cached is not None:
-        return cached
     from ..opt.driver import compile_source
 
     program = compile_source(benchmark.source(), opts, tracer)
     if max_instructions is None:
-        result = run(program)
-    else:
-        result = run(program, max_instructions=max_instructions)
-    _RUN_CACHE[key] = result
-    return result
-
-
-def cached_run(
-    benchmark: Benchmark | str,
-    options: CompilerOptions,
-) -> RunResult | None:
-    """The memoized run for (benchmark, options), if already computed."""
-    if isinstance(benchmark, str):
-        benchmark = get(benchmark)
-    return _RUN_CACHE.get((benchmark.name, _options_key(options)))
-
-
-def seed_run(
-    benchmark: Benchmark | str,
-    options: CompilerOptions,
-    result: RunResult,
-) -> None:
-    """Install an externally computed run into the memo cache.
-
-    The execution engine uses this to share runs it obtained from pool
-    workers or the on-disk trace cache, so inline code that follows a
-    parallel sweep (exhibit drivers, summaries) never recompiles.
-    """
-    if isinstance(benchmark, str):
-        benchmark = get(benchmark)
-    _RUN_CACHE[(benchmark.name, _options_key(options))] = result
+        return run(program)
+    return run(program, max_instructions=max_instructions)
 
 
 def parse_benchmark_list(
@@ -199,12 +151,10 @@ def measure(
     """Run a benchmark and replay its trace on ``config``.
 
     ``observe=True`` attaches per-cause stall attribution to the result
-    (see :mod:`repro.obs.stalls`); the default path is unchanged.
+    (see :mod:`repro.obs.stalls`); the default path is unchanged.  Each
+    call compiles afresh; measure many machines with
+    :func:`repro.api.sweep`.
     """
     result = run_benchmark(benchmark, options)
     return simulate(result.trace, config, observe=observe)
 
-
-def clear_cache() -> None:
-    """Drop memoized runs (tests use this to bound memory)."""
-    _RUN_CACHE.clear()

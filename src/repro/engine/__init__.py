@@ -24,8 +24,7 @@ __getattr__, __dir__ = _lazy.exports(__name__, globals(), {
     "..store": ("CacheStats",),
     ".cache": ("DEFAULT_CACHE_DIR", "NULL_TRACE_CACHE", "TraceCache",
                "open_cache", "trace_key"),
-    ".executor": ("CellResult", "EngineReport", "EngineResult", "execute",
-                  "prime_runs"),
+    ".executor": ("CellResult", "EngineReport", "EngineResult", "execute"),
     ".faults": ("NO_FAULTS", "FaultPlan", "FaultSpec", "InjectedFaultError"),
     ".plan": ("Cell", "Plan", "plan_sweep"),
     ".resilience": ("CELL_STATUSES", "CellError", "ResourceLimits",
@@ -56,6 +55,5 @@ __all__ = [
     "install_sigterm_handler",
     "open_cache",
     "plan_sweep",
-    "prime_runs",
     "trace_key",
 ]

@@ -226,26 +226,22 @@ def acquire_run(
 ):
     """Get one compile unit's run; returns ``(run, cached, checksum_ok)``.
 
-    The in-process memo comes first (free), then the on-disk cache,
-    then a compile whose run is stored back.  ``cached`` is True when
-    no compile ran.  ``limits`` bounds the compile's instruction budget
-    and checks RSS afterwards; ``faults``/``attempt`` may corrupt the
-    freshly stored entry.  A compile runs under one ``compile.run``
-    span on ``tracer``, with the compile driver's ``pass.*`` spans
-    nested inside it.
+    The on-disk cache comes first, then a compile whose run is stored
+    back with the benchmark's reference checksum recorded on it, so a
+    hit checks the checksum without running the reference.  ``cached``
+    is True when no compile ran.  ``limits`` bounds the compile's
+    instruction budget and checks RSS afterwards;
+    ``faults``/``attempt`` may corrupt the freshly stored entry.  A
+    compile runs under one ``compile.run`` span on ``tracer``, with the
+    compile driver's ``pass.*`` spans nested inside it.
     """
     bench = suite.get(benchmark)
-    result = suite.cached_run(bench, options)
-    key = None
+    result = key = None
     try:
-        if result is None and cache.enabled:
+        if cache.enabled:
             key = trace_key(bench.source(), options)
             with tracer.span("cache.get", cat="cache", benchmark=benchmark):
                 result = cache.load(key)
-            if result is not None:
-                # Share the cached run with in-process callers
-                # (exhibits, etc.).
-                suite.seed_run(bench, options, result)
         cached = result is not None
         if result is None:
             with tracer.span("compile.run", cat="compile",
@@ -254,6 +250,7 @@ def acquire_run(
                     bench, options, max_instructions=limits.max_instructions,
                     tracer=tracer,
                 )
+            result.reference = bench.reference()
             if key is not None:
                 with tracer.span("cache.put", cat="cache",
                                  benchmark=benchmark):
@@ -263,7 +260,11 @@ def acquire_run(
     finally:
         cache.stats.record_to(metrics, "cache.")
     limits.check_rss()
-    checksum_ok = abs(result.value - bench.reference()) <= bench.fp_tolerance
+    # Entries stored before runs recorded it compute it on every load.
+    reference = getattr(result, "reference", None)
+    if reference is None:
+        reference = bench.reference()
+    checksum_ok = abs(result.value - reference) <= bench.fp_tolerance
     return result, cached, checksum_ok
 
 
@@ -350,9 +351,8 @@ def _run_group(
                 out.append((index, cell))
         finally:
             # The engine never replays this trace again: release its
-            # vectorized plan arrays.  The plan itself stays for direct
-            # simulate() callers; a later replay reloads the arrays
-            # from the store or rebuilds them.
+            # vectorized plan arrays before the trim below, so their
+            # pages go back to the OS with the group.
             if result.trace._plan is not None:
                 result.trace._plan.vec = None
             _trim_heap()
@@ -420,69 +420,6 @@ def _run_group_task(payload: tuple):
     if resource is not None:
         obs["resource"] = resource
     return results, cached, obs
-
-
-def _prime_task(payload: tuple):
-    """Pool entry point for :func:`prime_runs`."""
-    index, benchmark, options, cache_root = payload
-    cache = TraceCache(cache_root) if cache_root else NULL_TRACE_CACHE
-    result, cached, _ = acquire_run(benchmark, options, cache)
-    return index, result, cached
-
-
-def prime_runs(
-    jobs: list[tuple[str, CompilerOptions]],
-    *,
-    workers: int = 1,
-    cache: TraceCache | None = None,
-) -> EngineReport:
-    """Warm the in-process run memo for a set of compilations.
-
-    ``jobs`` is a list of (benchmark name, options) compile units;
-    duplicates (by option fingerprint) collapse to one compile.  With
-    ``workers>1`` compiles fan across a process pool and the resulting
-    runs — traces included — are shipped back and seeded into
-    :mod:`repro.benchmarks.suite`'s memo, so subsequent inline code
-    (e.g. the exhibit drivers) never recompiles.  The disk cache, when
-    given, is populated as a side effect and serves later runs.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    disk_cache = cache if cache is not None else NULL_TRACE_CACHE
-    unique: dict[tuple, tuple[str, CompilerOptions]] = {}
-    for benchmark, options in jobs:
-        unique.setdefault((benchmark, options.fingerprint()),
-                          (benchmark, options))
-    work = list(unique.values())
-    start = time.perf_counter()
-    hits = misses = 0
-
-    if workers == 1 or len(work) <= 1:
-        for benchmark, options in work:
-            _, cached, _ = acquire_run(benchmark, options, disk_cache)
-            hits, misses = hits + cached, misses + (not cached)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        cache_root = disk_cache.root if disk_cache.enabled else ""
-        payloads = [(i, b, o, cache_root)
-                    for i, (b, o) in enumerate(work)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, result, cached in pool.map(_prime_task, payloads):
-                benchmark, options = work[index]
-                suite.seed_run(suite.get(benchmark), options, result)
-                hits, misses = hits + cached, misses + (not cached)
-
-    seconds = time.perf_counter() - start
-    return EngineReport(
-        workers=workers,
-        cells=0,
-        groups=len(work),
-        cache_hits=hits,
-        cache_misses=misses,
-        seconds=seconds,
-        compile_seconds=seconds,
-    )
 
 
 def failed_cell(

@@ -157,10 +157,9 @@ class MachineConfig:
         or scheduling behaviour.
 
         This is the machine component of the compile-cache key: the
-        in-process memo in :mod:`repro.benchmarks.suite` and the
-        engine's content-addressed on-disk cache both derive their keys
-        from it, so the two can never disagree about what makes two
-        configurations equivalent.
+        engine's compile groups and its content-addressed on-disk cache
+        both derive their keys from it, so the two can never disagree
+        about what makes two configurations equivalent.
         """
         return (
             self.name,

@@ -284,11 +284,9 @@ def build_suite_report(
     read off the ``pass.*`` spans under its ``compile.run`` span
     (:func:`~repro.obs.profile.compile_passes`).
 
-    Compile units already held in :mod:`repro.benchmarks.suite`'s
-    in-process run memo are not recompiled (forked pool workers inherit
-    that memo), so such a benchmark reports "no compile in this run"
-    and an empty profile.  A fresh ``repro report`` process compiles
-    every benchmark.
+    Every call compiles every benchmark.  A benchmark reports "no
+    compile in this run" and an empty profile only when its group
+    failed before compiling.
 
     Events go through ``recorder`` in suite order once the engine has
     finished: per benchmark its ``compile_pass``/``compile`` events and

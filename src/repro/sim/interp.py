@@ -41,6 +41,10 @@ class RunResult:
     trace: Trace
     instructions: int
     memory_words: int
+    #: the suite benchmark's reference checksum, recorded with the run
+    #: when the engine compiles it, so a trace-cache hit needs no
+    #: reference computation (``None`` for runs outside the suite)
+    reference: int | float | None = None
 
 
 @dataclass(slots=True)

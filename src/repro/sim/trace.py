@@ -24,9 +24,8 @@ of magnitude.
 
 The three integer streams (``run_starts``, ``run_lengths``,
 ``mem_addrs``) are stdlib ``array('i')`` buffers, 4 bytes per element,
-not lists of boxed ints: a trace is replayed on many machines and stays
-memoized for the life of the process, so its footprint is every
-workload's floor.  The constructor (and so :meth:`Trace.from_runs`) and
+not lists of boxed ints: a trace is replayed on many machines while
+its compile group lives, so its footprint is every workload's floor.  The constructor (and so :meth:`Trace.from_runs`) and
 unpickling coerce lists to arrays, so list-built traces and cache
 entries written as lists load unchanged; a value outside int32 raises
 :class:`~repro.errors.TraceError`.  Pickles carry the raw buffers, and

@@ -85,13 +85,6 @@ def test_base_machine_parallelism_exactly_one():
     assert timing.parallelism == pytest.approx(1.0)
 
 
-def test_run_cache_returns_same_object():
-    bench = suite.get("whet")
-    first = suite.run_benchmark(bench)
-    second = suite.run_benchmark(bench)
-    assert first is second
-
-
 def test_measure_helper():
     timing = suite.measure("whet", ideal_superscalar(2))
     assert 1.0 < timing.parallelism <= 2.0

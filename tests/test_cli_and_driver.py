@@ -1,5 +1,7 @@
 """Tests for the CLI (python -m repro) and the compile-pipeline driver."""
 
+import pathlib
+
 import pytest
 
 from repro.__main__ import main as cli_main
@@ -7,6 +9,8 @@ from repro.opt.driver import compile_module, compile_source
 from repro.opt.options import AliasLevel, CompilerOptions, OptLevel
 from repro.lang import parse
 from repro.sim.interp import run
+
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 SRC = """
 var total: int;
@@ -54,6 +58,38 @@ class TestCLI:
         assert cli_main(["exhibit", "fig4-7"]) == 0
         out = capsys.readouterr().out
         assert "1.667" in out
+
+
+class TestExhibitEngineFlags:
+    """``repro exhibit`` runs its cells through the engine and honours
+    the cache flags at one worker."""
+
+    EXPECTED = (RESULTS / "fig4-5.txt").read_text(encoding="utf-8") + "\n"
+
+    def test_cache_dir_holds_exactly_the_exhibits_units(self, tmp_path,
+                                                        capsys):
+        from repro.benchmarks import suite
+        from repro.engine.cache import TraceCache, trace_key
+
+        root = tmp_path / "cache"
+        assert cli_main(["exhibit", "fig4-5", "--cache-dir", str(root)]) == 0
+        assert capsys.readouterr().out == self.EXPECTED
+        cache = TraceCache(str(root))
+        keys = {trace_key(b.source(), suite.default_options(b))
+                for b in suite.all_benchmarks()}
+        assert len(keys) == 8
+        for key in keys:
+            assert pathlib.Path(cache.path_for(key)).is_file()
+        assert len(list(root.glob("??/*.pkl"))) == 8
+
+    def test_no_cache_leaves_no_entries(self, tmp_path, capsys,
+                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        root = tmp_path / "cache"
+        assert cli_main(["exhibit", "fig4-5", "--no-cache",
+                         "--cache-dir", str(root)]) == 0
+        assert capsys.readouterr().out == self.EXPECTED
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReportFormats:

@@ -8,8 +8,10 @@ and the :mod:`repro.api` facade keeps a stable keyword-only surface.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import pickle
+import weakref
 
 import pytest
 
@@ -22,8 +24,8 @@ from repro.engine.cache import (
     open_cache,
     trace_key,
 )
-from repro.engine.executor import execute, prime_runs
-from repro.engine.plan import plan_sweep
+from repro.engine.executor import execute
+from repro.engine.plan import Cell, plan_sweep
 from repro.machine.presets import (
     ideal_superscalar,
     paper_machines,
@@ -38,14 +40,6 @@ from repro.sim import memo, replay
 #: A small grid that still exercises >1 compile group and >1 machine.
 BENCHES = ["whet", "linpack"]
 MACHINES = ["base", "superscalar:4"]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_memo():
-    """Isolate each test from the process-wide suite run memo."""
-    suite.clear_cache()
-    yield
-    suite.clear_cache()
 
 
 def _rows(workers, cache=None, observe=True):
@@ -96,10 +90,11 @@ class TestMachineResolver:
 
 class TestFingerprints:
     def test_suite_memo_key_matches_fingerprint(self):
-        # The coherence fix: the in-process memo and the disk cache must
-        # key on the same option fields or they disagree about identity.
+        # The engine's compile groups and the disk cache must key on the
+        # same option fields or they disagree about identity.
         options = CompilerOptions(opt_level=OptLevel(2), unroll=4)
-        assert suite._options_key(options) == options.fingerprint()
+        cell = Cell("whet", options, resolve("base"))
+        assert cell.compile_key() == ("whet", options.fingerprint())
 
     def test_machine_config_pickles(self):
         config = ideal_superscalar(4)
@@ -131,7 +126,6 @@ class TestSerialParallelIdentical:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_bit_identical_rows_and_stalls(self, workers):
         serial = _rows(workers=1)
-        suite.clear_cache()
         parallel = _rows(workers=workers)
         assert len(serial.cells) == len(parallel.cells) == 4
         for s, p in zip(serial.cells, parallel.cells):
@@ -195,8 +189,7 @@ class TestTraceCache:
         assert first.report.cache_misses == 2  # one per compile group
         assert cache.stats.stores == 2
 
-        # New process simulated: drop the in-process memo, keep the disk.
-        suite.clear_cache()
+        # A second handle on the same directory, as a new process opens.
         second_cache = TraceCache(str(tmp_path))
         second = _rows(workers=1, cache=second_cache)
         assert second.report.cache_hits == 2
@@ -215,7 +208,6 @@ class TestTraceCache:
     def test_parallel_run_populates_shared_cache(self, tmp_path):
         cache = TraceCache(str(tmp_path))
         _rows(workers=2, cache=cache, observe=False)
-        suite.clear_cache()
         second = _rows(workers=2, cache=TraceCache(str(tmp_path)),
                        observe=False)
         assert second.report.cache_hits == 2
@@ -225,7 +217,6 @@ class TestTraceCache:
         cache = TraceCache(str(tmp_path))
         plan_a = plan_sweep(["whet"], ["base"])
         execute(plan_a, cache=cache)
-        suite.clear_cache()
         plan_b = plan_sweep(
             ["whet"], ["base"],
             options=CompilerOptions(opt_level=OptLevel(1)),
@@ -254,16 +245,31 @@ class TestGroupScope:
                 cell.minor_cycles, cell.base_cycles, cell.parallelism,
                 cell.stalls.as_dict())
 
-    def test_plan_vec_released_and_rerun_reads_the_store(self, tmp_path):
+    @staticmethod
+    def _spy_traces(monkeypatch, keep):
+        """Collect what ``keep(trace)`` returns for every replay."""
+        kept = []
+        real = executor.simulate
+
+        def spy(trace, *args, **kwargs):
+            kept.append(keep(trace))
+            return real(trace, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "simulate", spy)
+        return kept
+
+    def test_plan_vec_released_and_rerun_reads_the_store(self, tmp_path,
+                                                         monkeypatch):
         plan = plan_sweep(BENCHES, MACHINES, observe=True)
         cache = TraceCache(str(tmp_path))
         runs = []
         for _ in range(2):
+            # The trace owns its stream arrays, so they die with it.
+            refs = self._spy_traces(
+                monkeypatch, lambda trace: weakref.ref(trace.run_starts))
             runs.append(execute(plan, cache=cache))
-            for cell in plan.cells:
-                trace = suite.cached_run(cell.benchmark, cell.options).trace
-                assert trace._plan is not None  # kept for simulate()
-                assert trace._plan.vec is None
+            assert len(refs) == len(plan.cells)
+            assert all(ref() is None for ref in refs)  # none outlives it
         assert not hasattr(memo, "_REGISTRY")
         first, second = runs
         assert len(second.cells) == len(BENCHES) * len(MACHINES)
@@ -279,10 +285,7 @@ class TestGroupScope:
         plan = plan_sweep(BENCHES, MACHINES, observe=True)
         cache = TraceCache(str(tmp_path))
         first = execute(plan, cache=cache)
-        traces = [suite.cached_run(cell.benchmark, cell.options).trace
-                  for cell in plan.cells]
-        for trace in traces:
-            trace._plan = None
+        traces = self._spy_traces(monkeypatch, lambda trace: trace)
         counted = []
         real_counter = replay.Counter
 
@@ -294,6 +297,7 @@ class TestGroupScope:
         monkeypatch.setattr(replay, "Counter", counter)
         second = execute(plan, cache=cache)
         assert not counted
+        assert len(traces) == len(plan.cells)
         assert all(trace._plan.loaded for trace in traces)
         assert [self._numbers(c) for c in second.cells] == \
             [self._numbers(c) for c in first.cells]
@@ -313,24 +317,6 @@ class TestGroupScope:
     def test_heap_trim_is_skipped_without_malloc_trim(self, monkeypatch):
         monkeypatch.setattr(executor, "_malloc_trim", lambda: None)
         executor._trim_heap()
-
-
-class TestPriming:
-    def test_prime_seeds_the_memo(self, tmp_path):
-        cache = TraceCache(str(tmp_path))
-        options = suite.default_options(suite.get("whet"))
-        report = prime_runs([("whet", options), ("whet", options)],
-                            workers=1, cache=cache)
-        assert report.groups == 1  # duplicates collapse
-        assert suite.cached_run(suite.get("whet"), options) is not None
-
-    def test_prime_parallel_ships_runs_back(self, tmp_path):
-        options = suite.default_options(suite.get("whet"))
-        jobs = [("whet", options),
-                ("linpack", suite.default_options(suite.get("linpack")))]
-        prime_runs(jobs, workers=2, cache=TraceCache(str(tmp_path)))
-        for name, opts in jobs:
-            assert suite.cached_run(suite.get(name), opts) is not None
 
 
 class TestObservability:
@@ -353,7 +339,6 @@ class TestObservability:
     def test_parallel_events_match_serial(self):
         serial, parallel = Recorder(), Recorder()
         execute(plan_sweep(BENCHES, MACHINES), recorder=serial)
-        suite.clear_cache()
         execute(plan_sweep(BENCHES, MACHINES), workers=2,
                 recorder=parallel)
 
@@ -451,6 +436,47 @@ class TestApiBehavior:
         assert "whet" in text
         assert "harmonic mean" in text
         assert result.engine.cells == 2
+
+
+class TestRecordedReference:
+    """A cached run carries its benchmark's reference checksum, so a
+    trace-cache hit never runs the pure-Python reference."""
+
+    @staticmethod
+    def _count_references(monkeypatch, value=None):
+        bench = suite.get("whet")
+        calls = []
+
+        def reference():
+            calls.append(None)
+            return bench.reference() if value is None else value
+
+        monkeypatch.setitem(suite._REGISTRY, "whet",
+                            dataclasses.replace(bench, reference=reference))
+        return calls
+
+    def test_hit_uses_the_recorded_reference(self, tmp_path, monkeypatch):
+        calls = self._count_references(monkeypatch)
+        cache = TraceCache(str(tmp_path))
+        options = suite.default_options(suite.get("whet"))
+        run, cached, ok = executor.acquire_run("whet", options, cache)
+        assert (cached, ok, len(calls)) == (False, True, 1)
+        assert run.reference == run.value
+        run, cached, ok = executor.acquire_run("whet", options, cache)
+        assert (cached, ok, len(calls)) == (True, True, 1)
+
+    def test_entry_without_reference_computes_it(self, tmp_path,
+                                                 monkeypatch):
+        cache = TraceCache(str(tmp_path))
+        bench = suite.get("whet")
+        options = suite.default_options(bench)
+        run = suite.run_benchmark(bench, options)
+        del run.reference  # as unpickled from an older entry
+        cache.store(trace_key(bench.source(), options), run)
+        calls = self._count_references(
+            monkeypatch, value=run.value + bench.fp_tolerance + 1)
+        _, cached, ok = executor.acquire_run("whet", options, cache)
+        assert (cached, ok, len(calls)) == (True, False, 1)
 
 
 class TestCacheFormat:

@@ -4,9 +4,13 @@ Each test asserts the *shape* the paper reports — who wins, rough
 factors, where curves flatten — not absolute numbers.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import experiments as E
+from repro.benchmarks import suite
+from repro.errors import ReproError
 
 
 class TestAnalyticExhibits:
@@ -116,6 +120,21 @@ class TestMeasuredExhibits:
         assert with_misses == pytest.approx(4 / 3)
         measured_nc, measured_c = ex.data["measured"]
         assert measured_c < measured_nc
+
+    @pytest.mark.parametrize("driver", [
+        lambda: E.fig4_5(widths=(1,)),
+        E.table2_1,
+    ], ids=["engine-cells", "trace-runs"])
+    def test_wrong_checksum_fails_loudly(self, driver, monkeypatch):
+        """A benchmark whose result disagrees with its reference stops
+        the exhibit, naming it, instead of rendering its numbers."""
+        bench = suite.get("whet")
+        monkeypatch.setitem(
+            suite._REGISTRY, "whet",
+            dataclasses.replace(bench, reference=lambda: -1),
+        )
+        with pytest.raises(ReproError, match="whet.*wrong checksum"):
+            driver()
 
     def test_run_all_produces_every_exhibit(self):
         # identifiers only; running everything is covered above and in

@@ -462,11 +462,9 @@ class TestRestoredFlowReport:
         assert rerun["compile_seconds"] == rerun["sim_seconds"] == 0
 
     def test_compile_time_counts_the_compile_node(self, tmp_path):
-        from repro.benchmarks import suite
         from repro.engine.plan import plan_sweep
         from repro.machine.presets import resolve
 
-        suite.clear_cache()  # so the compile node really compiles
         plan = plan_sweep(["whet"], [resolve("superscalar:4"),
                                      resolve("superpipelined:2")])
         first, fr = _sweep(plan, tmp_path)

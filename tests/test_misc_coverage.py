@@ -94,23 +94,11 @@ class TestTrace:
 
 class TestSuitePlumbing:
     def test_options_cache_key_distinguishes(self):
-        from repro.benchmarks.suite import _options_key
-
-        a = _options_key(CompilerOptions())
-        b = _options_key(CompilerOptions(unroll=2))
-        c = _options_key(CompilerOptions(opt_level=OptLevel.NONE))
-        d = _options_key(
-            CompilerOptions(schedule_for=ideal_superscalar(3))
-        )
+        a = CompilerOptions().fingerprint()
+        b = CompilerOptions(unroll=2).fingerprint()
+        c = CompilerOptions(opt_level=OptLevel.NONE).fingerprint()
+        d = CompilerOptions(schedule_for=ideal_superscalar(3)).fingerprint()
         assert len({a, b, c, d}) == 4
-
-    def test_clear_cache(self):
-        bench = suite.get("whet")
-        first = suite.run_benchmark(bench)
-        suite.clear_cache()
-        second = suite.run_benchmark(bench)
-        assert first is not second
-        assert first.value == second.value
 
     def test_duplicate_registration_rejected(self):
         from repro.benchmarks.suite import Benchmark, register

@@ -16,7 +16,6 @@ import json
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.benchmarks import suite
 from repro.engine.executor import execute
 from repro.engine.faults import FaultPlan
 from repro.engine.plan import plan_sweep
@@ -54,14 +53,12 @@ def _no_env(monkeypatch):
 
 
 def _write_report(path, benches, machines, faults=None, workers=1):
-    suite.clear_cache()
     plan = plan_sweep(benches, machines, observe=True)
     with JsonlRecorder(str(path)) as rec:
         rec.emit("run_start", schema=SCHEMA_VERSION, run_id="history-test")
         result = execute(plan, workers=workers, recorder=rec,
                          policy=FAST, faults=faults)
         rec.emit("run_end", seconds=0.0, counters=dict(rec.counters))
-    suite.clear_cache()
     return result
 
 

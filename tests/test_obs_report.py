@@ -50,12 +50,6 @@ def validator():
 @pytest.fixture(scope="module")
 def whet_report(tmp_path_factory):
     """One observed benchmark run, shared across the module's tests."""
-    from repro.benchmarks import suite
-
-    # A compile unit already in this process's run memo is not
-    # recompiled, and its report carries no compile profile; earlier
-    # test modules may have run whet.
-    suite.clear_cache()
     path = tmp_path_factory.mktemp("report") / "run.jsonl"
     with JsonlRecorder(path) as rec:
         report = build_suite_report(
@@ -198,11 +192,8 @@ class TestReportThroughEngine:
     MACHINES = [base_machine(), ideal_superscalar(4)]
 
     def test_workers_do_not_change_the_report(self):
-        from repro.benchmarks import suite
-
         reports = []
         for workers in (1, 2):
-            suite.clear_cache()
             reports.append(build_suite_report(
                 benchmarks=["whet", "linpack"], machines=self.MACHINES,
                 workers=workers,
@@ -213,9 +204,6 @@ class TestReportThroughEngine:
         assert all(c.status == "ok" for c in parallel.cells)
 
     def test_crashed_worker_is_retried_not_dropped(self, monkeypatch):
-        from repro.benchmarks import suite
-
-        suite.clear_cache()
         monkeypatch.setenv("REPRO_FAULTS", "crash@whet#1")
         report = build_suite_report(
             benchmarks=["whet", "linpack"], machines=self.MACHINES,
@@ -230,16 +218,17 @@ class TestReportThroughEngine:
                 if c.benchmark == "whet"] == ["retried", "retried"]
         assert report.conservation_holds()
 
-    def test_memoized_unit_reports_no_compile(self):
-        from repro.benchmarks import suite
-
-        suite.clear_cache()
-        suite.run_benchmark("whet")
-        report = build_suite_report(benchmarks=["whet"],
-                                    machines=[base_machine()])
-        br = report.benchmarks[0]
-        assert br.profile == []
-        assert "no compile in this run" in br.render()
+    def test_repeat_report_compiles_again(self):
+        """Nothing carries over between reports in one process: each
+        compiles every benchmark and carries its compile profile."""
+        for _ in range(2):
+            report = build_suite_report(benchmarks=["whet", "linpack"],
+                                        machines=[base_machine()])
+            assert [br.benchmark for br in report.benchmarks] == [
+                "whet", "linpack"]
+            for br in report.benchmarks:
+                assert br.profile
+                assert "no compile in this run" not in br.render()
 
 
 class TestRendering:
@@ -566,9 +555,6 @@ class TestTraceCli:
 
     def test_suite_report_shows_passes_under_compile_run(self, tmp_path,
                                                           capsys):
-        from repro.benchmarks import suite
-
-        suite.clear_cache()
         path = tmp_path / "suite.jsonl"
         assert main(["suite", "--benchmarks", "whet", "--machines", "base",
                      "--no-cache", "--report", str(path)]) == 0

@@ -313,11 +313,6 @@ MACHINES = ["base", "superscalar:4"]
 
 
 def _run(workers=1, faults=None, tracer=None, metrics=None, progress=None):
-    from repro.benchmarks import suite
-
-    # Start from a cold in-process run memo so every call records the
-    # same spans (compile.run included) regardless of test order.
-    suite.clear_cache()
     plan = plan_sweep(BENCHES, MACHINES, observe=True)
     return execute(plan, workers=workers, policy=FAST, faults=faults,
                    tracer=tracer, metrics=metrics, progress=progress)
@@ -411,12 +406,10 @@ class TestEngineObservability:
         assert "metrics" in kinds
 
     def test_cache_counter_conservation(self, tmp_path):
-        from repro.benchmarks import suite
         from repro.engine.cache import open_cache
 
         plan = plan_sweep(BENCHES, MACHINES)
         for _ in range(2):  # second pass is all cache hits
-            suite.clear_cache()  # force the disk cache to be consulted
             mx = MetricsRegistry()
             execute(plan, cache=open_cache(str(tmp_path)), metrics=mx)
             c = mx.counters

@@ -361,8 +361,11 @@ class TestMemoPersistence:
         first_store = MemoStore(str(tmp_path / "memo"))
         warmup = replay_with_memo(first_store, trace, config, observe=True)
         assert warmup.minor_cycles == ref.minor_cycles
-        assert first_store.stats.misses == 1
-        assert first_store.stats.stores >= 1
+        # A fresh trace misses its memo entry and, under NumPy, its
+        # plan entry too; each miss is stored.
+        entries = 1 + (replay_mod.BACKEND == "numpy")
+        assert first_store.stats.misses == entries
+        assert first_store.stats.stores == entries
 
         store = MemoStore(str(tmp_path / "memo"))
         out = replay_with_memo(store, trace, config, observe=True)
@@ -509,7 +512,6 @@ class TestEngineIntegration:
     """The engine persists and re-adopts memo tables via its cache."""
 
     def test_cache_dir_grows_memo_store(self, tmp_path):
-        suite.clear_cache()
         plan = plan_sweep(["whet"], ["base", "superscalar:4"],
                           observe=True)
         result = execute(plan, cache=TraceCache(str(tmp_path)))
@@ -518,7 +520,6 @@ class TestEngineIntegration:
         assert memo_root.is_dir()
         assert any(memo_root.rglob("*.pkl"))
 
-        suite.clear_cache()
         again = execute(plan_sweep(["whet"], ["base", "superscalar:4"],
                                    observe=True),
                         cache=TraceCache(str(tmp_path)))

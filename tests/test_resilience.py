@@ -53,13 +53,6 @@ FAST = RetryPolicy(base_delay=0.001, max_delay=0.01, group_timeout=60.0)
 
 
 @pytest.fixture(autouse=True)
-def _fresh_memo():
-    suite.clear_cache()
-    yield
-    suite.clear_cache()
-
-
-@pytest.fixture(autouse=True)
 def _no_env_faults(monkeypatch):
     """Keep ambient $REPRO_FAULTS out of every test in this module."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
@@ -442,7 +435,6 @@ class TestAcceptance:
     def test_faulted_sweep_matches_clean_run(self, tmp_path):
         plan = plan_sweep(self.BENCHES, MACHINES, observe=True)
         clean = execute(plan, workers=1)
-        suite.clear_cache()
 
         faults = FaultPlan.parse(
             "crash@whet#1, hang@linpack#1, corrupt-result@stanford#1,"

@@ -57,13 +57,6 @@ from scripts.gen_golden_schedules import (
 BACKENDS = ("exact", "list", "swp")
 
 
-@pytest.fixture(autouse=True)
-def _fresh_suite():
-    suite.clear_cache()
-    yield
-    suite.clear_cache()
-
-
 def _blocks_with_dags(source: str, machine: str, min_instrs: int = 3):
     """Compile ``source`` scheduled for ``machine`` and yield
     ``(block, dag, config)`` for every schedulable block."""
